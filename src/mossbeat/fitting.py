@@ -2,10 +2,14 @@
 
 The objective is chi2 = sum(((observed - model) / sigma)^2) with the
 model integrated over each bin, exactly how the simulator generates
-expectations.  The beat phase makes the landscape multimodal, so the fit
-runs a deterministic multistart over a phase grid and keeps the best
-local optimum; the scale parameter n0 enters the model linearly and is
-re-solved in closed form after each local search.
+expectations.  The scale n0 and the background enter the model
+linearly, so the fit uses variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 1973): each evaluation at a candidate (tau_d, phi0)
+solves the free linear parameters exactly by bounded weighted least
+squares, and Nelder-Mead searches only the free nonlinear ones.  The
+beat phase makes the landscape multimodal, so every start of a
+deterministic phase grid is screened to a coarse tolerance and only the
+best one is polished.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -26,12 +30,16 @@ from .errors import DomainError, StructuralError
 from .spectra import kalpha_bin_expected
 
 _FREE_CHOICES = ("n0", "tau_d", "phi0", "background")
+_LINEAR = ("n0", "background")
 _DEFAULT_BOUNDS = {
     "n0": (0.0, 1e12),
     "tau_d": (1e-3, 1e12),
     "phi0": (0.0, np.pi),
     "background": (0.0, 1e9),
 }
+# screening tolerances: enough to rank the phase-grid starts
+_SCREEN_XATOL = 1e-3
+_SCREEN_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,9 @@ class FitConfig:
     """Controls for ``fit_beat``.
 
     ``base`` supplies every parameter that is not free (tau0 and t_pump
-    are never fitted) and the starting values of free ones other than
-    phi0, which starts from a grid of ``phase_grid`` points over [0, pi).
+    are never fitted) and the starting value of tau_d; phi0 starts from
+    a grid of ``phase_grid`` points over its bounds, and free n0 and
+    background need no start because they are solved exactly.
     """
 
     free_params: tuple[str, ...] = ("n0", "tau_d", "phi0")
@@ -75,13 +84,28 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class FitStart:
+    """One screened start: its phase, the chi2 it reached, the model
+    evaluations it took and the optimizer's status."""
+
+    phi0: float
+    chi2: float
+    evaluations: int
+    converged: bool
+    message: str
+
+
+@dataclass(frozen=True)
 class FitResult:
     """Outcome of a multistart fit.
 
     ``covariance`` rows/columns follow ``free_names`` (natural units,
-    from the quadratic model 2 H^-1 at the optimum, clipped to positive
-    semidefinite).  ``message`` carries per-start diagnostics when the
-    fit did not converge and bound-contact notes when it did.
+    Gauss-Newton (J^T J)^-1 of the weighted residuals at the optimum).
+    ``converged`` is the status of the final polish.  ``message``
+    carries bound-contact notes and, when no screened start converged,
+    their diagnostics.  ``evaluations`` counts model evaluations over
+    the whole fit; ``starts`` holds one ``FitStart`` per phase-grid
+    start (empty when no nonlinear parameter is free).
     """
 
     params: BeatParams
@@ -91,6 +115,8 @@ class FitResult:
     converged: bool
     message: str
     free_names: tuple[str, ...]
+    evaluations: int = 0
+    starts: tuple[FitStart, ...] = ()
 
     def __post_init__(self):
         if self.chi2 < 0.0:
@@ -103,247 +129,208 @@ class FitResult:
             cov = cov.copy()
             cov.setflags(write=False)
             object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "starts", tuple(self.starts))
 
 
-def _series_arrays(series):
-    """(edges, observed, sigma, kind) for either series flavor."""
-    if hasattr(series, "ratio"):
+class _WeightedSeries:
+    """The kept bins of a series divided by sigma, and the model columns
+    on the same footing; counts model evaluations."""
+
+    def __init__(self, series, tau0: float, t_pump: float):
         edges = np.asarray(series.edges, dtype=float)
-        keep = np.asarray(series.valid, dtype=bool)
-        obs = np.asarray(series.ratio, dtype=float)
-        sig = np.asarray(series.sigma, dtype=float)
-        if len(obs) == 0 or not np.any(keep & (sig > 0.0)):
-            raise StructuralError("series has no valid bins with positive sigma")
-        return edges, obs, sig, keep & (sig > 0.0), "ratio"
-    edges = np.asarray(series.edges, dtype=float)
-    obs = np.asarray(series.counts, dtype=float)
-    if len(obs) == 0:
-        raise StructuralError("series is empty")
-    sig = np.sqrt(np.maximum(obs, 1.0))
-    return edges, obs, sig, np.ones(len(obs), dtype=bool), "counts"
+        if hasattr(series, "ratio"):
+            obs = np.asarray(series.ratio, dtype=float)
+            sig = np.asarray(series.sigma, dtype=float)
+            keep = np.asarray(series.valid, dtype=bool) & (sig > 0.0)
+            if len(obs) == 0 or not np.any(keep):
+                raise StructuralError("series has no valid bins with positive sigma")
+            # the unit-scale fluorescence denominator depends on no fitted
+            # parameter, so it is built once per series
+            denom = kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep]
+        else:
+            obs = np.asarray(series.counts, dtype=float)
+            if len(obs) == 0:
+                raise StructuralError("series is empty")
+            sig = np.sqrt(np.maximum(obs, 1.0))
+            keep = np.ones(len(obs), dtype=bool)
+            denom = 1.0
+        self.edges, self.keep, self.denom = edges, keep, denom
+        self.sig = sig[keep]
+        self.y = obs[keep] / self.sig
+        self.background = t_pump * np.diff(edges)[keep] / denom / self.sig
+        self.evaluations = 0
+
+    def columns(self, p: BeatParams) -> np.ndarray:
+        """(bins, 2) model columns of n0 and background at p's tau_d and phi0."""
+        self.evaluations += 1
+        unit = bin_expected_counts(replace(p, n0=1.0, background=0.0), self.edges)[self.keep]
+        return np.column_stack([unit / self.denom / self.sig, self.background])
 
 
-def _model_bins(params: BeatParams, edges: np.ndarray, kind: str) -> np.ndarray:
-    mu = bin_expected_counts(params, edges)
-    if kind == "counts":
-        return mu
-    denom = kalpha_bin_expected(1.0, params.tau0, params.t_pump, edges)
-    return mu / denom
+def _residual(y: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Weighted residuals (observed - model) / sigma for linear coefficients coef."""
+    return y - cols @ coef
+
+
+def _scalar_lstsq(a: np.ndarray, t: np.ndarray, lo: float, hi: float) -> float:
+    """argmin |t - a x| over lo <= x <= hi for one column a."""
+    den = float(np.dot(a, a))
+    return float(np.clip(np.dot(a, t) / den if den > 0.0 else 0.0, lo, hi))
+
+
+def _bounded_lstsq(a: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """argmin |t - a x| over lo <= x <= hi, for a with one or two columns.
+
+    Clipping is exact for one column.  For two, the unconstrained
+    solution stands when it is inside the box; otherwise the optimum of
+    the convex quadratic lies on an edge of the box, so each edge is
+    solved as a clipped one-column problem and the best one is taken.
+    """
+    if a.shape[1] == 1:
+        return np.array([_scalar_lstsq(a[:, 0], t, lo[0], hi[0])])
+    x = np.linalg.lstsq(a, t, rcond=None)[0]
+    if np.all((lo <= x) & (x <= hi)):
+        return x
+    best, best_ss = x, np.inf
+    for j in (0, 1):
+        k = 1 - j
+        for v in (lo[j], hi[j]):
+            cand = np.empty(2)
+            cand[j] = v
+            cand[k] = _scalar_lstsq(a[:, k], t - a[:, j] * v, lo[k], hi[k])
+            r = _residual(t, a, cand)
+            ss = float(np.dot(r, r))
+            if ss < best_ss:
+                best, best_ss = cand, ss
+    return best
 
 
 def chi2(series, params: BeatParams) -> float:
     """Weighted residual sum of squares of the bin-integrated model."""
-    edges, obs, sig, keep, kind = _series_arrays(series)
-    model = _model_bins(params, edges, kind)
-    r = (obs[keep] - model[keep]) / sig[keep]
+    data = _WeightedSeries(series, params.tau0, params.t_pump)
+    r = _residual(data.y, data.columns(params), np.array([params.n0, params.background]))
     return float(np.dot(r, r))
-
-
-def _solve_n0(params: BeatParams, edges, obs, sig, keep, kind, bounds):
-    """Exact weighted least-squares scale given all other parameters."""
-    unit = _model_bins(replace(params, n0=1.0, background=0.0), edges, kind)
-    if kind == "counts":
-        offset = params.background * params.t_pump * np.diff(edges)
-    else:
-        denom = kalpha_bin_expected(1.0, params.tau0, params.t_pump, edges)
-        offset = params.background * params.t_pump * np.diff(edges) / denom
-    a = unit[keep] / sig[keep]
-    y = (obs[keep] - offset[keep]) / sig[keep]
-    den = float(np.dot(a, a))
-    if den == 0.0:
-        return params.n0
-    return float(np.clip(np.dot(a, y) / den, bounds[0], bounds[1]))
-
-
-def _hessian(fun, x0, steps):
-    n = len(x0)
-    h = np.empty((n, n))
-    f0 = fun(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        fpp = fun(x0 + ei)
-        fmm = fun(x0 - ei)
-        h[i, i] = (fpp - 2.0 * f0 + fmm) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            fpj = fun(x0 + ei + ej)
-            fmj = fun(x0 - ei - ej)
-            fpm = fun(x0 + ei - ej)
-            fmp = fun(x0 - ei + ej)
-            h[i, j] = h[j, i] = (fpj + fmj - fpm - fmp) / (4.0 * steps[i] * steps[j])
-    return h
 
 
 def fit_beat(series, cfg: FitConfig) -> FitResult:
-    """Best multistart local optimum of chi2 over the free parameters.
+    """Best multistart optimum of chi2 over the free parameters.
 
-    Deterministic for fixed inputs.  Free parameters are optimized in
-    normalized coordinates (n0 and background divided by data-derived
-    scales, tau_d in log10) by bounded Nelder-Mead; ties between starts
-    within 1e-9 relative chi2 break toward lower tau_d.
+    Deterministic for fixed inputs.  Free n0 and background are solved
+    exactly at every evaluation; bounded Nelder-Mead searches free tau_d
+    (in log10) and phi0.  Each phase-grid start is screened with xatol
+    1e-3 and fatol 1e-3 relative to its starting chi2, ties within 1e-9
+    relative chi2 break toward lower tau_d, and the best start is
+    polished with xatol 1e-8 and fatol ``cfg.tolerance`` relative.  The
+    covariance is Gauss-Newton: exact columns for the linear parameters,
+    central differences for tau_d and phi0.
     """
-    edges, obs, sig, keep, kind = _series_arrays(series)
     free = cfg.free_params
     base = cfg.base
-    bounds = {k: cfg.bounds[k] for k in _FREE_CHOICES}
-    widths = np.diff(edges)
+    bounds = cfg.bounds
+    data = _WeightedSeries(series, base.tau0, base.t_pump)
+    lin = [i for i, name in enumerate(_LINEAR) if name in free]
+    fixed = [i for i, name in enumerate(_LINEAR) if name not in free]
+    lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
+    nonlin = [name for name in ("tau_d", "phi0") if name in free]
+    if "tau_d" in free and bounds["tau_d"][0] <= 0.0:
+        raise DomainError("tau_d lower bound must be positive")
+    z_bounds = [(np.log10(bounds[n][0]), np.log10(bounds[n][1])) if n == "tau_d" else bounds[n] for n in nonlin]
 
-    # data-derived normalization scales; exactly proportional to the
-    # count scale so refits of rescaled data follow identical paths
-    n0_guess = _solve_n0(base, edges, obs, sig, keep, kind, bounds["n0"])
-    n0_scale = n0_guess if n0_guess > 0.0 else 1.0
-    pump_mass = base.t_pump * float(np.mean(widths))
-    bg_scale = max(float(np.median(obs[keep])), 1.0) / pump_mass
+    def project(z):
+        """Params with the linear ones solved at nonlinear point z; columns; residuals."""
+        p = replace(base, **{n: float(10.0**v if n == "tau_d" else v) for n, v in zip(nonlin, z)})
+        cols = data.columns(p)
+        coef = np.array([p.n0, p.background])
+        if lin:
+            target = _residual(data.y, cols[:, fixed], coef[fixed])
+            coef[lin] = _bounded_lstsq(cols[:, lin], target, lin_lo, lin_hi)
+        return replace(p, n0=float(coef[0]), background=float(coef[1])), cols, _residual(data.y, cols, coef)
 
-    def pack(params: BeatParams) -> np.ndarray:
-        vals = []
-        for name in free:
-            v = getattr(params, name)
-            if name == "n0":
-                vals.append(v / n0_scale)
-            elif name == "tau_d":
-                vals.append(np.log10(v))
-            elif name == "background":
-                vals.append(v / bg_scale)
-            else:
-                vals.append(v)
-        return np.array(vals)
-
-    def unpack(x: np.ndarray) -> BeatParams:
-        kw = {}
-        for name, v in zip(free, x):
-            if name == "n0":
-                kw[name] = max(v * n0_scale, 0.0)
-            elif name == "tau_d":
-                kw[name] = 10.0**v
-            elif name == "background":
-                kw[name] = max(v * bg_scale, 0.0)
-            else:
-                kw[name] = v
-        return replace(base, **kw)
-
-    def objective(x: np.ndarray) -> float:
-        model = _model_bins(unpack(x), edges, kind)
-        r = (obs[keep] - model[keep]) / sig[keep]
+    def objective(z) -> float:
+        r = project(z)[2]
         return float(np.dot(r, r))
 
-    nm_bounds = []
+    def search(z0, xatol, rtol, f0):
+        options = {"maxiter": cfg.max_iters, "maxfev": 4 * cfg.max_iters, "xatol": xatol,
+                   "fatol": rtol * max(f0, 1.0), "adaptive": False}
+        return scipy.optimize.minimize(objective, z0, method="Nelder-Mead", bounds=z_bounds, options=options)
+
+    starts = []
+    z = np.empty(0)
+    polish = None
+    if nonlin:
+        phases = [base.phi0]
+        if "phi0" in free:
+            lo, hi = bounds["phi0"]
+            phases = lo + (hi - lo) * np.arange(cfg.phase_grid) / cfg.phase_grid
+        tau_start = [np.log10(np.clip(base.tau_d, *bounds["tau_d"]))] if "tau_d" in free else []
+        best = best_tau = None
+        for phase in phases:
+            before = data.evaluations
+            z0 = np.array(tau_start + ([phase] if "phi0" in free else []))
+            res = search(z0, _SCREEN_XATOL, _SCREEN_RTOL, objective(z0))
+            starts.append(FitStart(float(phase), float(res.fun), data.evaluations - before, bool(res.success), res.message))
+            tau = 10.0 ** res.x[0] if "tau_d" in free else base.tau_d
+            if best is None:
+                best, best_tau = res, tau
+                continue
+            tie = 1e-9 * (1.0 + best.fun)
+            if res.fun < best.fun - tie or (abs(res.fun - best.fun) <= tie and tau < best_tau):
+                best, best_tau = res, tau
+        polish = search(best.x, 1e-8, cfg.tolerance, best.fun)
+        z = polish.x
+
+    params, cols, r = project(z)
+    best_chi2 = float(np.dot(r, r))
+    coef = np.array([params.n0, params.background])
+    jac = []
     for name in free:
-        lo, hi = bounds[name]
-        if name == "n0":
-            nm_bounds.append((lo / n0_scale, hi / n0_scale))
-        elif name == "tau_d":
-            if lo <= 0.0:
-                raise DomainError("tau_d lower bound must be positive")
-            nm_bounds.append((np.log10(lo), np.log10(hi)))
-        elif name == "background":
-            nm_bounds.append((lo / bg_scale, hi / bg_scale))
-        else:
-            nm_bounds.append((lo, hi))
-
-    if "phi0" in free:
-        lo, hi = bounds["phi0"]
-        grid = lo + (hi - lo) * np.arange(cfg.phase_grid) / cfg.phase_grid
-        starts = [replace(base, phi0=float(v)) for v in grid]
-    else:
-        starts = [base]
-
-    def clip_start(params: BeatParams) -> BeatParams:
-        kw = {}
-        for name in free:
-            lo, hi = bounds[name]
-            kw[name] = float(np.clip(getattr(params, name), lo, hi))
-        if "n0" in free:
-            kw["n0"] = _solve_n0(replace(params, **kw), edges, obs, sig, keep, kind, bounds["n0"])
-        return replace(params, **kw)
-
-    results = []
-    notes = []
-    for i, start in enumerate(starts):
-        x0 = pack(clip_start(start))
-        fatol = cfg.tolerance * max(objective(x0), 1.0)
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=nm_bounds,
-            options={
-                "maxiter": cfg.max_iters,
-                "maxfev": 4 * cfg.max_iters,
-                "xatol": 1e-8,
-                "fatol": fatol,
-                "adaptive": False,
-            },
-        )
-        params = unpack(res.x)
-        if "n0" in free:
-            params = replace(params, n0=_solve_n0(params, edges, obs, sig, keep, kind, bounds["n0"]))
-        val = chi2_of(params, edges, obs, sig, keep, kind)
-        results.append((val, params, bool(res.success)))
-        if not res.success:
-            notes.append(f"start {i} (phi0 = {start.phi0:.4f}): {res.message}")
-
-    best_val, best_params, best_ok = results[0]
-    for val, params, ok in results[1:]:
-        if val < best_val - 1e-9 * (1.0 + best_val):
-            best_val, best_params, best_ok = val, params, ok
-        elif abs(val - best_val) <= 1e-9 * (1.0 + best_val) and params.tau_d < best_params.tau_d:
-            best_val, best_params, best_ok = val, params, ok
-
-    if "phi0" in free:
-        best_params = replace(best_params, phi0=float(best_params.phi0 % np.pi))
-
-    dof = int(np.count_nonzero(keep)) - len(free)
-
-    steps = []
-    for name in free:
-        v = getattr(best_params, name)
-        if name == "phi0":
-            steps.append(1e-4)
-        elif name == "n0":
-            steps.append(1e-4 * max(abs(v), n0_scale * 1e-6, 1e-300))
-        elif name == "background":
-            steps.append(1e-4 * max(abs(v), bg_scale * 1e-6, 1e-300))
-        else:
-            steps.append(1e-4 * v)
-
-    def chi2_natural(vec):
-        return chi2_of(replace(best_params, **dict(zip(free, vec))), edges, obs, sig, keep, kind)
-
-    center = np.array([getattr(best_params, name) for name in free])
+        if name in _LINEAR:
+            jac.append(-cols[:, _LINEAR.index(name)])
+            continue
+        h = 1e-4 * params.tau_d if name == "tau_d" else 1e-4
+        up = data.columns(replace(params, **{name: getattr(params, name) + h}))
+        down = data.columns(replace(params, **{name: getattr(params, name) - h}))
+        jac.append((_residual(data.y, up, coef) - _residual(data.y, down, coef)) / (2.0 * h))
+    jac = np.column_stack(jac)
     try:
-        hess = _hessian(chi2_natural, center, np.array(steps))
-        cov = 2.0 * np.linalg.pinv(hess)
+        # pseudo-inverse on unit-norm columns, so rank is judged free of units
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        js = jac / scale
+        cov = np.linalg.pinv(js.T @ js, hermitian=True) / np.outer(scale, scale)
         cov = 0.5 * (cov + cov.T)
-        w, v = np.linalg.eigh(cov)
-        cov = (v * np.clip(w, 0.0, None)) @ v.T
-    except (np.linalg.LinAlgError, DomainError):
+    except np.linalg.LinAlgError:
         cov = None
 
-    # bound contact judged in the optimizer's normalized coordinates,
-    # where the search actually saturates
+    if "phi0" in free:
+        params = replace(params, phi0=float(params.phi0 % np.pi))
+
+    # bound contact: linear parameters sit exactly on a bound when the
+    # solve clips them; nonlinear ones are judged in the search
+    # coordinates, where Nelder-Mead saturates
     msgs = []
-    x_best = pack(best_params)
-    for name, v_norm, (lo_n, hi_n) in zip(free, x_best, nm_bounds):
+    z_at = dict(zip(nonlin, zip(z, z_bounds)))
+    for name in free:
         lo, hi = bounds[name]
-        tol = 1e-6 * max(1.0, abs(v_norm))
-        if abs(v_norm - lo_n) <= tol:
+        if name in z_at:
+            v, (lo_z, hi_z) = z_at[name]
+            tol = 1e-6 * max(1.0, abs(v))
+            at_lo, at_hi = abs(v - lo_z) <= tol, abs(v - hi_z) <= tol
+        else:
+            v = getattr(params, name)
+            at_lo, at_hi = v == lo, v == hi
+        if at_lo:
             msgs.append(f"{name} at lower bound {lo:g}")
-        elif abs(v_norm - hi_n) <= tol:
+        elif at_hi:
             msgs.append(f"{name} at upper bound {hi:g}")
-    converged = best_ok
-    if not any(ok for _, _, ok in results):
-        converged = False
+    if starts and not any(s.converged for s in starts):
+        notes = (f"start {i} (phi0 = {s.phi0:.4f}): {s.message}" for i, s in enumerate(starts))
         msgs.append("no start converged: " + "; ".join(notes))
+    converged = polish is None or bool(polish.success)
+    if not converged:
+        msgs.append(f"polish: {polish.message}")
     message = "; ".join(msgs) if msgs else "ok"
 
-    return FitResult(best_params, float(best_val), dof, cov, converged, message, free)
-
-
-def chi2_of(params, edges, obs, sig, keep, kind) -> float:
-    """chi2 from pre-extracted arrays; shared by the public paths."""
-    model = _model_bins(params, edges, kind)
-    r = (obs[keep] - model[keep]) / sig[keep]
-    return float(np.dot(r, r))
+    dof = int(np.count_nonzero(data.keep)) - len(free)
+    return FitResult(params, best_chi2, dof, cov, converged, message, free, data.evaluations, tuple(starts))

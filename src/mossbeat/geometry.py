@@ -37,17 +37,19 @@ def rotation_aligning(a, b) -> np.ndarray:
     if na == 0.0 or nb == 0.0:
         raise DomainError("cannot align zero vectors")
     a, b = a / na, b / nb
+    if float(np.dot(a, b)) < 0.0:
+        # 1/(1+c) below is ill-conditioned near antiparallel: align a with
+        # -b instead, then turn by pi about an axis perpendicular to b.
+        axis = np.cross(b, np.eye(3)[np.argmin(np.abs(b))])
+        axis /= np.linalg.norm(axis)
+        return (2.0 * np.outer(axis, axis) - np.eye(3)) @ _rotation_aligning_acute(a, -b)
+    return _rotation_aligning_acute(a, b)
+
+
+def _rotation_aligning_acute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation taking unit a to unit b, for a . b >= 0."""
     v = np.cross(a, b)
     c = float(np.dot(a, b))
-    if np.linalg.norm(v) < 1e-15:
-        if c > 0.0:
-            return np.eye(3)
-        # antiparallel: rotate pi about any axis perpendicular to a
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-8:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
     vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 

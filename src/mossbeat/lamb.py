@@ -99,9 +99,8 @@ class FlmResult:
             raise DomainError(f"stderr must be nonnegative, got {self.stderr!r}")
 
 
-def _batch_stats(batch_values, batch_sizes):
+def _batch_stats(batch_values):
     values = np.asarray(batch_values)
-    sizes = np.asarray(batch_sizes, dtype=float)
     if len(values) < 2:
         return None
     return float(np.std(values, ddof=1) / np.sqrt(len(values)))
@@ -116,16 +115,14 @@ def flm_coherent_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble) -> FlmRes
     total = 0.0 + 0.0j
     n_total = 0
     batch_vals = []
-    sizes = []
     for u in _batches(ens):
         s = np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1)
         mean = s.mean()
         batch_vals.append(abs(mean) ** 2)
-        sizes.append(len(s))
         total += s.sum()
         n_total += len(s)
     value = abs(total / n_total) ** 2
-    return FlmResult(float(value), _batch_stats(batch_vals, sizes), "coherent")
+    return FlmResult(float(value), _batch_stats(batch_vals), "coherent")
 
 
 def flm_incoherent_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble) -> FlmResult:
@@ -133,15 +130,13 @@ def flm_incoherent_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble) -> FlmR
     total = 0.0
     n_total = 0
     batch_vals = []
-    sizes = []
     for u in _batches(ens):
         s2 = np.abs(np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1)) ** 2
         batch_vals.append(s2.mean())
-        sizes.append(len(s2))
         total += s2.sum()
         n_total += len(s2)
     value = total / n_total
-    return FlmResult(float(value), _batch_stats(batch_vals, sizes), "incoherent")
+    return FlmResult(float(value), _batch_stats(batch_vals), "incoherent")
 
 
 def flm_closed_form(geom: TriGammaGeometry, sigma_longitudinal: float) -> FlmResult:

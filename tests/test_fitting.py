@@ -189,3 +189,68 @@ def test_fit_result_phi0_reported_mod_pi(sim_series):
     cfg = FitConfig(base=replace(TRUE, n0=10.0, tau_d=2000.0, phi0=0.0))
     out = fit_beat(sim_series, cfg)
     assert 0.0 <= out.params.phi0 < np.pi
+
+
+def test_fit_covariance_matches_finite_difference_hessian():
+    # on exact data the Gauss-Newton covariance equals 2 H^-1 of chi2
+    edges = np.linspace(0.0, 14400.0, 301)
+    series = _noiseless_series(TRUE, edges)
+    out = fit_beat(series, FitConfig(base=replace(TRUE, n0=10.0, tau_d=1000.0, phi0=0.0)))
+    names = out.free_names
+    center = np.array([getattr(out.params, name) for name in names])
+    steps = np.array([1e-4 if name == "phi0" else 1e-4 * v for name, v in zip(names, center)])
+
+    def f(vec):
+        return chi2(series, replace(out.params, **dict(zip(names, vec))))
+
+    n = len(names)
+    hess = np.empty((n, n))
+    eye = np.diag(steps)
+    for i in range(n):
+        hess[i, i] = (f(center + eye[i]) - 2.0 * f(center) + f(center - eye[i])) / steps[i] ** 2
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                f(center + eye[i] + eye[j]) + f(center - eye[i] - eye[j])
+                - f(center + eye[i] - eye[j]) - f(center - eye[i] + eye[j])
+            ) / (4.0 * steps[i] * steps[j])
+    expected = np.sqrt(np.diag(2.0 * np.linalg.inv(hess)))
+    assert np.sqrt(np.diag(out.covariance)) == pytest.approx(expected, rel=1e-5)
+
+
+def test_fit_background_clipped_at_lower_bound(sim_series):
+    cfg = FitConfig(
+        free_params=("n0", "tau_d", "phi0", "background"),
+        base=replace(TRUE, n0=10.0, tau_d=2000.0, phi0=0.0),
+    )
+    out = fit_beat(sim_series, cfg)
+    assert out.params.background == 0.0
+    assert "background at lower bound" in out.message
+    # with the background pinned, n0 is the one-column weighted solve
+    counts = np.asarray(sim_series.counts, dtype=float)
+    unit = bin_expected_counts(replace(out.params, n0=1.0), sim_series.edges)
+    w = 1.0 / np.maximum(counts, 1.0)
+    expected = float((w * unit * counts).sum() / (w * unit * unit).sum())
+    assert out.params.n0 == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_records_evaluations_and_starts():
+    true = replace(TRUE, n0=4.0)
+    gamma, _ = simulate_counts(true, 1.0, 24.0, 14400.0, seed=1000)
+    out = fit_beat(gamma, FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0)))
+    assert out.converged
+    assert out.evaluations <= 1000
+    assert [s.phi0 for s in out.starts] == pytest.approx(np.pi * np.arange(8) / 8)
+    assert all(s.converged for s in out.starts)
+    # the polish and the covariance take evaluations beyond the screen
+    assert sum(s.evaluations for s in out.starts) < out.evaluations
+
+
+def test_fit_ratio_series_free_background():
+    gamma, kalpha = simulate_counts(TRUE, 2000.0, 24.0, 14400.0, seed=77)
+    cfg = FitConfig(
+        free_params=("n0", "tau_d", "phi0", "background"),
+        base=replace(TRUE, n0=1.0, tau_d=800.0, phi0=0.0),
+    )
+    out = fit_beat(normalize(gamma, kalpha), cfg)
+    assert out.converged
+    assert out.params.tau_d == pytest.approx(TRUE.tau_d, rel=0.05)
