@@ -20,9 +20,16 @@ from .errors import DomainError
 from .geometry import LatticeSpec, TriGammaGeometry, verify_bragg
 
 
-def _mode_b_pols(geom: TriGammaGeometry) -> np.ndarray:
-    k_hats = geom.k_vectors / geom.k_mag
-    return np.cross(k_hats, geom.e_pols)
+def _mode_sum(geom: TriGammaGeometry, r, pols: np.ndarray) -> np.ndarray:
+    """sum_n pols[n] exp(i k_n . r) at point(s) r."""
+    r = np.asarray(r, dtype=float)
+    single = r.ndim == 1
+    pts = np.atleast_2d(r)
+    if pts.shape[-1] != 3:
+        raise DomainError(f"points must be 3-vectors, got shape {r.shape}")
+    phases = pts @ geom.k_vectors.T
+    out = np.exp(1j * phases) @ pols
+    return out[0] if single else out
 
 
 def evaluate_E(geom: TriGammaGeometry, r) -> np.ndarray:
@@ -37,26 +44,12 @@ def evaluate_E(geom: TriGammaGeometry, r) -> np.ndarray:
     -------
     ndarray, complex, same leading shape as r
     """
-    r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
-    pts = np.atleast_2d(r)
-    if pts.shape[-1] != 3:
-        raise DomainError(f"points must be 3-vectors, got shape {r.shape}")
-    phases = pts @ geom.k_vectors.T
-    out = np.exp(1j * phases) @ geom.e_pols
-    return out[0] if single else out
+    return _mode_sum(geom, r, geom.e_pols)
 
 
 def evaluate_B(geom: TriGammaGeometry, r) -> np.ndarray:
     """Complex magnetic field at point(s) r, free-wave convention (c = 1)."""
-    r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
-    pts = np.atleast_2d(r)
-    if pts.shape[-1] != 3:
-        raise DomainError(f"points must be 3-vectors, got shape {r.shape}")
-    phases = pts @ geom.k_vectors.T
-    out = np.exp(1j * phases) @ _mode_b_pols(geom)
-    return out[0] if single else out
+    return _mode_sum(geom, r, np.cross(geom.k_vectors / geom.k_mag, geom.e_pols))
 
 
 @dataclass(frozen=True)

@@ -110,17 +110,6 @@ def build_trigamma(k_mag: float, theta: float) -> TriGammaGeometry:
     return TriGammaGeometry(float(k_mag), float(theta), phis, k_vectors, k_entangled, e_pols)
 
 
-def difference_directions() -> np.ndarray:
-    """Unit directions of k1-k2, k2-k3, k3-k1; rows of a (3, 3) array."""
-    phis = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
-    d = np.column_stack(
-        [np.cos(phis[list(p[0] for p in _PAIRS)]) - np.cos(phis[list(p[1] for p in _PAIRS)]),
-         np.sin(phis[list(p[0] for p in _PAIRS)]) - np.sin(phis[list(p[1] for p in _PAIRS)]),
-         np.zeros(3)]
-    )
-    return d / np.linalg.norm(d, axis=1)[:, None]
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """fcc lattice with a designated channel direction.
@@ -185,17 +174,16 @@ def _fcc_miller_indices(cutoff: int) -> np.ndarray:
     return hkl[same & nonzero]
 
 
-def reciprocal_vectors(lattice: LatticeSpec) -> np.ndarray:
-    """All fcc reciprocal vectors within the cutoff shell, working frame (N, 3)."""
-    miller = _fcc_miller_indices(lattice.g_shell_cutoff)
-    g_cry = miller * (2.0 * np.pi / lattice.a)
-    return g_cry @ lattice.rotation.T
-
-
-def _reciprocal_table(lattice: LatticeSpec):
+def _reciprocal_table(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Reciprocal vectors in the working frame (N, 3) and their Miller rows."""
     miller = _fcc_miller_indices(lattice.g_shell_cutoff)
     g_cry = miller * (2.0 * np.pi / lattice.a)
     return g_cry @ lattice.rotation.T, miller
+
+
+def reciprocal_vectors(lattice: LatticeSpec) -> np.ndarray:
+    """All fcc reciprocal vectors within the cutoff shell, working frame (N, 3)."""
+    return _reciprocal_table(lattice)[0]
 
 
 @dataclass(frozen=True)
@@ -236,14 +224,17 @@ def verify_bragg(geom: TriGammaGeometry, lattice: LatticeSpec, tol: float = 1e-9
 def bragg_angle_solve(
     k_mag: float,
     lattice: LatticeSpec,
-    n_grid: int = 10_000,
     tol: float = 1e-9,
 ) -> list[BraggCandidate]:
     """Find cone angles where all pairwise differences hit reciprocal vectors.
 
-    Coarse scan of theta over (0, pi/2) followed by bisection polish on the
-    matched shell magnitude.  Candidates are verified with ``verify_bragg``
-    before being returned; no solution yields an empty list.
+    Every difference k_n - k_m is in-plane with magnitude
+    sqrt(3)*k*sin(theta), so each in-plane reciprocal shell of magnitude
+    |G| < sqrt(3)*k gives the single angle theta = arcsin(|G| / (sqrt(3)*k)).
+    Shells are the in-plane magnitudes grouped to relative 1e-12.  A shell
+    is a solution only if its vectors also lie at the three difference
+    azimuths, so each candidate angle is kept only when ``verify_bragg``
+    passes at ``tol``.  No solution yields an empty list.
 
     Parameters
     ----------
@@ -251,71 +242,30 @@ def bragg_angle_solve(
         Photon wavenumber (1/m).
     lattice : LatticeSpec
         Lattice with stored working-frame rotation.
-    n_grid : int
-        Number of scan points.
     tol : float
-        Relative residual accepted by the final verification.
+        Relative residual accepted by the verification.
     """
     if not k_mag > 0.0:
         raise DomainError(f"k_mag must be positive, got {k_mag!r}")
     g_all, miller = _reciprocal_table(lattice)
-    if len(g_all) == 0:
-        return []
-
-    d_hats = difference_directions()
-
-    def residual_and_match(theta):
-        mag = np.sqrt(3.0) * k_mag * np.sin(theta)
-        worst = 0.0
-        rows = []
-        for i in range(3):
-            d = mag * d_hats[i]
-            dist = np.linalg.norm(g_all - d, axis=1)
-            j = int(np.argmin(dist))
-            rows.append(j)
-            worst = max(worst, dist[j] / np.linalg.norm(g_all[j]))
-        return worst, rows
-
-    thetas = np.linspace(0.0, np.pi / 2, n_grid, endpoint=False)[1:]
-    res = np.array([residual_and_match(t)[0] for t in thetas])
-
-    # local minima of the scan, candidates for polishing
-    interior = np.nonzero((res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
+    norms = np.linalg.norm(g_all, axis=1)
+    shells = np.sort(norms[np.abs(g_all[:, 2]) <= 1e-9 * norms])
+    shells = shells[np.diff(shells, prepend=-np.inf) > 1e-12 * shells]
+    ratios = shells / (np.sqrt(3.0) * k_mag)
     candidates: list[BraggCandidate] = []
-    seen: list[float] = []
-    for idx in interior:
-        _, rows = residual_and_match(thetas[idx])
-        g_m = np.linalg.norm(g_all[rows[0]])
-        # polish |k_n - k_m|(theta) = |G| by bisection; monotone in theta
-        lo = thetas[idx - 1]
-        hi = thetas[min(idx + 1, len(thetas) - 1)]
-        f = lambda t: np.sqrt(3.0) * k_mag * np.sin(t) - g_m
-        if f(lo) > 0.0 or f(hi) < 0.0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        theta_star = 0.5 * (lo + hi)
-        geom = build_trigamma(k_mag, theta_star)
+    for theta in np.arcsin(ratios[ratios < 1.0]):
+        geom = build_trigamma(k_mag, float(theta))
         ok, worst = verify_bragg(geom, lattice, tol)
         if not ok:
             continue
-        if any(abs(theta_star - t0) <= 1e-12 * max(theta_star, t0) for t0 in seen):
-            continue
-        seen.append(theta_star)
-        _, rows = residual_and_match(theta_star)
+        diffs = np.array([geom.k_vectors[n] - geom.k_vectors[m] for n, m in _PAIRS])
+        rows = np.linalg.norm(g_all - diffs[:, None], axis=2).argmin(axis=1)
         candidates.append(
             BraggCandidate(
-                theta=float(theta_star),
-                g_vectors=g_all[rows].copy(),
-                miller=miller[rows].copy(),
+                theta=float(theta),
+                g_vectors=g_all[rows],
+                miller=miller[rows],
                 residual=float(worst),
             )
         )
-    candidates.sort(key=lambda c: c.theta)
     return candidates

@@ -106,37 +106,35 @@ def _batch_stats(batch_values):
     return float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
+def _flm_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble, per_sample, finish,
+            interpretation: str) -> FlmResult:
+    """Average ``per_sample(S)`` over the ensemble; ``finish`` maps a mean to the factor.
+
+    Each batch mean is finished on its own for the batch-means error.
+    """
+    total = 0.0
+    n_total = 0
+    batch_vals = []
+    for u in _batches(ens):
+        v = per_sample(np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1))
+        batch_vals.append(finish(v.mean()))
+        total += v.sum()
+        n_total += len(v)
+    return FlmResult(float(finish(total / n_total)), _batch_stats(batch_vals), interpretation)
+
+
 def flm_coherent_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble) -> FlmResult:
     """Coherent factor |<sum_n exp(i k_n . u)>|^2 by Monte Carlo.
 
     Deterministic for a fixed ensemble seed: each batch draws from its own
     spawned substream, so the estimate is reproducible bit for bit.
     """
-    total = 0.0 + 0.0j
-    n_total = 0
-    batch_vals = []
-    for u in _batches(ens):
-        s = np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1)
-        mean = s.mean()
-        batch_vals.append(abs(mean) ** 2)
-        total += s.sum()
-        n_total += len(s)
-    value = abs(total / n_total) ** 2
-    return FlmResult(float(value), _batch_stats(batch_vals), "coherent")
+    return _flm_mc(geom, ens, lambda s: s, lambda m: abs(m) ** 2, "coherent")
 
 
 def flm_incoherent_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble) -> FlmResult:
     """Incoherent factor <|sum_n exp(i k_n . u)|^2> by Monte Carlo."""
-    total = 0.0
-    n_total = 0
-    batch_vals = []
-    for u in _batches(ens):
-        s2 = np.abs(np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1)) ** 2
-        batch_vals.append(s2.mean())
-        total += s2.sum()
-        n_total += len(s2)
-    value = total / n_total
-    return FlmResult(float(value), _batch_stats(batch_vals), "incoherent")
+    return _flm_mc(geom, ens, lambda s: np.abs(s) ** 2, lambda m: m, "incoherent")
 
 
 def flm_closed_form(geom: TriGammaGeometry, sigma_longitudinal: float) -> FlmResult:

@@ -17,7 +17,7 @@ from mossbeat import (
     rotation_aligning,
     verify_bragg,
 )
-from mossbeat.geometry import _fcc_miller_indices, difference_directions
+from mossbeat.geometry import _fcc_miller_indices
 
 A_RH = 3.8034e-10
 
@@ -95,17 +95,6 @@ def test_pairwise_differences(theta):
         assert d[2] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_difference_directions_are_odd_30_degree_azimuths():
-    dirs = difference_directions()
-    az = np.degrees(np.arctan2(dirs[:, 1], dirs[:, 0])) % 360.0
-    # unit vectors, in plane, at odd multiples of 30 degrees
-    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-14)
-    assert np.allclose(dirs[:, 2], 0.0, atol=1e-15)
-    ratios = az / 30.0
-    assert np.allclose(ratios, np.round(ratios), atol=1e-9)
-    assert np.all(np.round(ratios).astype(int) % 2 == 1)
-
-
 def test_fcc_miller_selection_rule():
     # oracle: structure factor of the 4-atom conventional basis
     basis = np.array([[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5]])
@@ -173,6 +162,28 @@ def test_bragg_second_candidate_is_double_shell(k40, lattice111):
     assert candidates[1].theta == pytest.approx(theta_expected, rel=1e-10)
     sq = np.sum(candidates[1].miller.astype(int) ** 2, axis=1)
     assert np.all(sq == 32)
+
+
+def test_bragg_cutoff_six_gives_three_collinear_shells(k40):
+    # in-plane shells at cutoff 6 are |G|^2 = 8, 24, 32, 56, 72 (2*pi/a)^2;
+    # only the (2,2,0) direction and its multiples sit at the difference
+    # azimuths, so 24 and 56 must be rejected
+    lattice = LatticeSpec(a=A_RH, g_shell_cutoff=6)
+    candidates = bragg_angle_solve(k40, lattice)
+    assert len(candidates) == 3
+    for cand, g_sq in zip(candidates, (8.0, 32.0, 72.0)):
+        g = 2.0 * np.pi * math.sqrt(g_sq) / A_RH
+        assert cand.theta == pytest.approx(math.asin(g / (math.sqrt(3.0) * k40)), rel=1e-12)
+        assert np.all(np.sum(cand.miller.astype(int) ** 2, axis=1) == g_sq)
+
+
+@pytest.mark.parametrize(
+    "axis, cutoff",
+    [((0, 0, 1), 4), ((1, 1, 0), 4), ((1, 2, 3), 4), ((1, 1, 1), 0)],
+)
+def test_bragg_no_solution_is_empty(k40, axis, cutoff):
+    lattice = LatticeSpec(a=A_RH, channel_axis=axis, g_shell_cutoff=cutoff)
+    assert bragg_angle_solve(k40, lattice) == []
 
 
 def test_bragg_candidates_all_verify(k40, lattice111):
