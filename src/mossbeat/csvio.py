@@ -21,17 +21,12 @@ COUNT_HEADER = ["t_start_s", "width_s", "counts", "channel"]
 RATIO_HEADER = ["t_start_s", "width_s", "ratio", "sigma"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_count_series(series: CountSeries, path) -> None:
     """Write a count series; one row per bin, fixed header."""
+    rows = zip(series.t_start.tolist(), series.width.tolist(), series.counts.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(COUNT_HEADER)
-        for t, width, c in zip(series.t_start, series.width, series.counts):
-            w.writerow([_fmt(t), _fmt(width), int(c), series.channel])
+        fh.write(",".join(COUNT_HEADER) + "\n")
+        fh.writelines(f"{t!r},{w!r},{c},{series.channel}\n" for t, w, c in rows)
 
 
 def read_count_series(path) -> CountSeries:
@@ -84,11 +79,10 @@ def read_count_series(path) -> CountSeries:
 
 def write_ratio_series(series: RatioSeries, path) -> None:
     """Write a ratio series; invalid bins become NaN ratio and sigma."""
+    rows = zip(series.t_start.tolist(), series.width.tolist(), series.ratio.tolist(), series.sigma.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RATIO_HEADER)
-        for t, width, r, s in zip(series.t_start, series.width, series.ratio, series.sigma):
-            w.writerow([_fmt(t), _fmt(width), _fmt(r), _fmt(s)])
+        fh.write(",".join(RATIO_HEADER) + "\n")
+        fh.writelines(f"{t!r},{w!r},{r!r},{s!r}\n" for t, w, r, s in rows)
 
 
 def read_ratio_series(path) -> RatioSeries:

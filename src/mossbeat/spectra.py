@@ -157,9 +157,11 @@ def simulate_counts(
     """Draw Poisson gamma and kalpha series on a common binning.
 
     Bins cover [0, horizon] in steps of ``width``; a trailing partial bin
-    is dropped with a warning.  Each bin of each channel draws from its
-    own spawned RNG substream, so results are reproducible and independent
-    of evaluation order.
+    is dropped with a warning.  Each channel draws all its bins in one
+    call from its own stream, keyed by ``(seed, channel)``: child 0
+    (gamma) or child 1 (kalpha) of ``SeedSequence(seed).spawn(2)``, fed
+    to ``default_rng``.  Results are reproducible for a fixed seed, and
+    one channel's counts do not depend on the other channel's model.
     """
     if not width > 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
@@ -173,13 +175,10 @@ def simulate_counts(
     mu_gamma = bin_expected_counts(beat, edges)
     mu_kalpha = kalpha_bin_expected(kalpha_scale, beat.tau0, beat.t_pump, edges)
 
-    gamma_ss, kalpha_ss = np.random.SeedSequence(seed).spawn(2)
-    counts = []
-    for mu, parent in ((mu_gamma, gamma_ss), (mu_kalpha, kalpha_ss)):
-        streams = parent.spawn(n_bins)
-        counts.append(
-            np.array([np.random.default_rng(s).poisson(m) for s, m in zip(streams, mu)])
-        )
+    counts = [
+        np.random.default_rng(stream).poisson(mu)
+        for mu, stream in zip((mu_gamma, mu_kalpha), np.random.SeedSequence(seed).spawn(2))
+    ]
     gamma = CountSeries("gamma", edges[:-1], np.full(n_bins, width), counts[0], GAMMA_WINDOW_KEV)
     kalpha = CountSeries("kalpha", edges[:-1], np.full(n_bins, width), counts[1], KALPHA_WINDOW_KEV)
     return gamma, kalpha

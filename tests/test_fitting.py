@@ -217,17 +217,22 @@ def test_fit_covariance_matches_finite_difference_hessian():
     assert np.sqrt(np.diag(out.covariance)) == pytest.approx(expected, rel=1e-5)
 
 
-def test_fit_background_clipped_at_lower_bound(sim_series):
+def test_fit_background_clipped_at_lower_bound():
+    # counts a background rate of -0.002 /s would give: the unconstrained
+    # best background is negative by construction, not by a lucky draw
+    edges = np.linspace(0.0, 14400.0, 601)
+    shifted = np.round(bin_expected_counts(TRUE, edges) - 0.002 * TRUE.t_pump * 24.0)
+    series = CountSeries("gamma", edges[:-1], np.diff(edges), shifted)
     cfg = FitConfig(
         free_params=("n0", "tau_d", "phi0", "background"),
         base=replace(TRUE, n0=10.0, tau_d=2000.0, phi0=0.0),
     )
-    out = fit_beat(sim_series, cfg)
+    out = fit_beat(series, cfg)
     assert out.params.background == 0.0
     assert "background at lower bound" in out.message
     # with the background pinned, n0 is the one-column weighted solve
-    counts = np.asarray(sim_series.counts, dtype=float)
-    unit = bin_expected_counts(replace(out.params, n0=1.0), sim_series.edges)
+    counts = np.asarray(series.counts, dtype=float)
+    unit = bin_expected_counts(replace(out.params, n0=1.0), series.edges)
     w = 1.0 / np.maximum(counts, 1.0)
     expected = float((w * unit * counts).sum() / (w * unit * unit).sum())
     assert out.params.n0 == pytest.approx(expected, rel=1e-12)

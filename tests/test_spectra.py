@@ -150,6 +150,36 @@ def test_simulate_counts_means_track_models():
     assert abs(pulls_k.mean()) < 5.0 / math.sqrt(len(kalpha))
 
 
+def test_simulate_counts_stream_per_channel():
+    p = BeatParams(n0=50.0, tau_d=485.7, phi0=0.3)
+    gamma, kalpha = simulate_counts(p, 10.0, 600.0, 36000.0, seed=5)
+    edges = 600.0 * np.arange(61)
+    expected = (bin_expected_counts(p, edges), kalpha_bin_expected(10.0, p.tau0, p.t_pump, edges))
+    streams = np.random.SeedSequence(5).spawn(2)
+    for series, mu, stream in zip((gamma, kalpha), expected, streams):
+        assert np.array_equal(series.counts, np.random.default_rng(stream).poisson(mu))
+    # the gamma stream is keyed by (seed, channel), not shared with kalpha
+    gamma_other, kalpha_other = simulate_counts(p, 500.0, 600.0, 36000.0, seed=5)
+    assert np.array_equal(gamma_other.counts, gamma.counts)
+    assert not np.array_equal(kalpha_other.counts, kalpha.counts)
+
+
+def test_simulate_counts_large_series_statistics():
+    p = BeatParams(n0=400.0, tau_d=485.7, phi0=0.3, background=0.05)
+    gamma, kalpha = simulate_counts(p, 30.0, 0.24, 14400.0, seed=11)
+    n = len(gamma)
+    assert n == 60000
+    pulls = []
+    for series, mu in (
+        (gamma, bin_expected_counts(p, gamma.edges)),
+        (kalpha, kalpha_bin_expected(30.0, p.tau0, p.t_pump, kalpha.edges)),
+    ):
+        pearson = float(((series.counts - mu) ** 2 / mu).sum())
+        assert abs(pearson - n) < 6.0 * math.sqrt(2.0 * n)
+        pulls.append((series.counts - mu) / np.sqrt(mu))
+    assert abs(np.corrcoef(*pulls)[0, 1]) < 6.0 / math.sqrt(n)
+
+
 def test_simulate_counts_partial_bin_warns():
     p = BeatParams(n0=5.0)
     with pytest.warns(UserWarning):
