@@ -30,7 +30,7 @@ from .csvio import (
     write_count_series,
     write_ratio_series,
 )
-from .errors import ConfigError, DomainError, QuadratureError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .fields import (
     FieldState,
     cancellation_residual,
@@ -84,7 +84,6 @@ __all__ = [
     "FitResult",
     "FlmResult",
     "LatticeSpec",
-    "QuadratureError",
     "RatioSeries",
     "RhodiumParams",
     "RunConfig",

@@ -10,6 +10,11 @@ delay t accumulates the rate over one pump period of length t_pump.
 Consecutive minima of the modulation sit at t_m = tau_d (pi/2 + m pi -
 phi0)^2, so their spacing grows linearly with m.
 
+Every integral of the rate -- the accumulated intensity, the beat curve
+and the expected counts per bin -- goes through one engine: fixed-order
+Gauss-Legendre panels in u = sqrt(tau), where the integrand is smooth,
+each panel capped at a quarter beat period and at sqrt(tau0).
+
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
 alternative "j0sq" beat kernel and checked against an integral form in
@@ -18,16 +23,12 @@ the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-import warnings
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
-import scipy.special
 
 from .constants import TAU0_S
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 # ---------------------------------------------------------------------------
 # Bessel J0: rational approximation on [0, 5], Hankel asymptotics beyond.
@@ -222,73 +223,34 @@ def count_rate(t, p: BeatParams, kernel: str = "cos2"):
     return float(out[0]) if scalar else out.reshape(t.shape)
 
 
-def _kernel_zeros(p: BeatParams, kernel: str, lo: float, hi: float) -> np.ndarray:
-    """Zeros of the modulation inside (lo, hi), for quadrature splitting."""
-    if kernel == "cos2":
-        # cos(sqrt(t/tau_d) + phi0) = 0 at sqrt(t/tau_d) = pi/2 + m pi - phi0
-        u_lo = np.sqrt(lo / p.tau_d)
-        u_hi = np.sqrt(hi / p.tau_d)
-        m_lo = int(np.floor((u_lo + p.phi0 - np.pi / 2) / np.pi)) - 1
-        m_hi = int(np.ceil((u_hi + p.phi0 - np.pi / 2) / np.pi)) + 1
-        u = np.pi / 2 + np.arange(m_lo, m_hi + 1) * np.pi - p.phi0
-    else:
-        u_hi = np.sqrt(hi / p.tau_d)
-        n = max(int(u_hi / np.pi) + 2, 1)
-        u = scipy.special.jn_zeros(0, n)
-    u = u[u > 0.0]
-    t = p.tau_d * u**2
-    return t[(t > lo) & (t < hi)]
-
-
 def accumulated_intensity(t: float, p: BeatParams, kernel: str = "cos2") -> float:
     """Intensity collected over [t, t + t_pump].
 
-    Adaptive quadrature of the rate with the modulation zeros supplied as
-    break points, to relative tolerance 1e-8; the flat background
-    contributes background * t_pump.  Raises ``QuadratureError`` when the
-    integrator reports a larger error estimate.
+    The one-point case of ``beat_curve``: a Gauss-Legendre panel sum in
+    u = sqrt(tau), each panel no wider than the smaller of a quarter beat
+    period and sqrt(tau0), accurate to machine precision on the smooth
+    integrand; the flat background contributes background * t_pump.
     """
     if not (np.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be nonnegative, got {t!r}")
-    if not p.t_pump > 0.0:
-        raise DomainError("t_pump must be positive to accumulate")
-    lo, hi = float(t), float(t + p.t_pump)
-
-    def integrand(tau):
-        return np.exp(-tau / p.tau0) * _modulation(tau, p, kernel)
-
-    cuts = _kernel_zeros(p, kernel, lo, hi)
-    edges = np.concatenate([[lo], cuts, [hi]])
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        # one pass per smooth arc keeps QUADPACK inside its subdivision limit
-        for a, b in zip(edges[:-1], edges[1:]):
-            try:
-                val, abserr = scipy.integrate.quad(integrand, a, b, epsabs=1e-300, epsrel=1e-10, limit=200)
-            except scipy.integrate.IntegrationWarning as exc:
-                raise QuadratureError(
-                    f"quadrature failed on [{a!r}, {b!r}]: {exc}"
-                ) from exc
-            total += val
-            err += abserr
-    if err > 1e-8 * abs(total) + 1e-300:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance for value {total:.6e}"
-        )
-    return p.n0 * total + p.background * p.t_pump
+    return float(beat_curve(p, [t], kernel)[0, 1])
 
 
 def beat_curve(p: BeatParams, t_grid, kernel: str = "cos2") -> np.ndarray:
-    """Accumulated intensity on a time grid; returns an (N, 2) array of (t, I)."""
+    """Accumulated intensity on a time grid; returns an (N, 2) array of (t, I).
+
+    All points are integrated in one vectorized panel pass (see
+    ``accumulated_intensity``); each value depends only on its own t.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise DomainError("t_grid must be a nonempty 1-d array")
-    if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise DomainError("t_grid must be nonnegative and strictly increasing")
-    vals = [accumulated_intensity(float(t), p, kernel) for t in t_grid]
-    return np.column_stack([t_grid, vals])
+    if not np.all(np.isfinite(t_grid)) or np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
+        raise DomainError("t_grid must be finite, nonnegative and strictly increasing")
+    if not p.t_pump > 0.0:
+        raise DomainError("t_pump must be positive to accumulate")
+    vals = _decay_beat_integrals(np.sqrt(t_grid), np.sqrt(t_grid + p.t_pump), p, kernel)
+    return np.column_stack([t_grid, p.n0 * vals + p.background * p.t_pump])
 
 
 def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
@@ -306,6 +268,7 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("need n >= 1 minima")
+    import scipy.optimize  # here, not at module level, so `import mossbeat` loads no scipy
 
     def mod_of_u(u):
         return _modulation(p.tau_d * u * u, p, "cos2")
@@ -334,17 +297,23 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fast expected counts per bin.
+# Panel engine shared by the accumulated intensity and the binned model.
 #
 # Swapping the order of the double integral, the expected counts in a bin
 # [a, b] are the single integral of g(tau) times the overlap length
 # |[a, b] intersect [tau - t_pump, tau]| -- a trapezoid in tau.  Every
 # piece is a positive integrand, so nothing cancels and the result is
 # accurate to machine precision relative to each bin.  The integrands are
-# smooth in u = sqrt(tau); fixed-order Gauss-Legendre panels capped at a
-# quarter beat period converge far below the 1e-10 target.
+# smooth in u = sqrt(tau); fixed-order Gauss-Legendre panels converge far
+# below the 1e-10 target once each panel is capped at a quarter beat
+# period and at sqrt(tau0), so that no panel spans many decay lengths
+# when tau0 << tau_d.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _panel_width(p: BeatParams) -> float:
+    return min(np.pi * np.sqrt(p.tau_d) / 4.0, np.sqrt(p.tau0))
 
 
 def _panel_nodes(u_lo: np.ndarray, u_hi: np.ndarray, h_max: float):
@@ -370,12 +339,27 @@ def _sum_by_interval(idx, vals, n_intervals):
     return out
 
 
+def _decay_beat(u, p: BeatParams, kernel: str):
+    """Unit-n0 rate without background at tau = u^2."""
+    tau = u * u
+    return np.exp(-tau / p.tau0) * _modulation(tau, p, kernel)
+
+
+def _decay_beat_integrals(u_lo: np.ndarray, u_hi: np.ndarray, p: BeatParams, kernel: str) -> np.ndarray:
+    """Integral of the unit-n0 rate over tau in [u_lo^2, u_hi^2], per interval."""
+    packed = _panel_nodes(u_lo, u_hi, _panel_width(p))
+    if packed is None:
+        return np.zeros(len(u_lo))
+    idx, u, w = packed
+    return _sum_by_interval(idx, (w * _decay_beat(u, p, kernel) * 2.0 * u).sum(axis=1), len(u_lo))
+
+
 def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarray:
     """Expected counts in contiguous bins given by ``edges`` (len N+1).
 
     Equals the exact double integral of the rate over delay and pump
-    window per bin; agrees with per-bin adaptive quadrature to better
-    than 1e-10 relative.  Vectorized over bins for use inside fit
+    window per bin, to better than 1e-10 relative (same panel engine
+    as ``beat_curve``).  Vectorized over bins for use inside fit
     objectives.
     """
     edges = np.asarray(edges, dtype=float)
@@ -392,18 +376,14 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
     r1 = a + lvl
     r2 = b + pump - lvl
     n_bins = len(a)
-    h_max = np.pi * np.sqrt(p.tau_d) / 4.0
-
-    def g_of(u):
-        tau = u * u
-        return np.exp(-tau / p.tau0) * _modulation(tau, p, kernel)
+    h_max = _panel_width(p)
 
     # rising edge: weight tau - a on [a, r1]
     rise = np.zeros(n_bins)
     packed = _panel_nodes(np.sqrt(a), np.sqrt(r1), h_max)
     if packed is not None:
         idx, u, w = packed
-        f = (u * u - a[idx][:, None]) * g_of(u) * 2.0 * u
+        f = (u * u - a[idx][:, None]) * _decay_beat(u, p, kernel) * 2.0 * u
         rise = _sum_by_interval(idx, (w * f).sum(axis=1), n_bins)
 
     # falling edge: weight b + pump - tau on [r2, b + pump]
@@ -411,20 +391,14 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
     packed = _panel_nodes(np.sqrt(r2), np.sqrt(b + pump), h_max)
     if packed is not None:
         idx, u, w = packed
-        f = ((b + pump)[idx][:, None] - u * u) * g_of(u) * 2.0 * u
+        f = ((b + pump)[idx][:, None] - u * u) * _decay_beat(u, p, kernel) * 2.0 * u
         fall = _sum_by_interval(idx, (w * f).sum(axis=1), n_bins)
 
     # plateau: lvl times the integral of g over [r1, r2], via one shared
     # cumulative table over the union of breakpoints
     xs = np.unique(np.concatenate([r1, r2]))
     us = np.sqrt(np.concatenate([[0.0], xs]))
-    packed = _panel_nodes(us[:-1], us[1:], h_max)
-    if packed is not None:
-        idx, u, w = packed
-        seg = _sum_by_interval(idx, (w * g_of(u) * 2.0 * u).sum(axis=1), len(xs))
-        m0 = np.cumsum(seg)
-        flat = lvl * (m0[np.searchsorted(xs, r2)] - m0[np.searchsorted(xs, r1)])
-    else:
-        flat = np.zeros(n_bins)
+    m0 = np.cumsum(_decay_beat_integrals(us[:-1], us[1:], p, kernel))
+    flat = lvl * (m0[np.searchsorted(xs, r2)] - m0[np.searchsorted(xs, r1)])
 
     return p.n0 * (rise + flat + fall) + p.background * pump * width

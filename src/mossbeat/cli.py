@@ -20,7 +20,7 @@ from . import constants
 from .beat import beat_curve, tau_d
 from .config import RunConfig
 from .csvio import read_count_series, write_count_series, write_ratio_series
-from .errors import ConfigError, DomainError, QuadratureError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .fields import evaluate_E
 from .fitting import fit_beat
 from .geometry import bragg_angle_solve
@@ -218,15 +218,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
 def _cmd_normalize(cfg: RunConfig, args) -> int:
     gamma = read_count_series(args.gamma)
     kalpha = read_count_series(args.kalpha)
-    ratio = normalize(gamma, kalpha)
-    if args.out:
-        write_ratio_series(ratio, args.out)
-    else:
-        rows = [
-            [_fmt(t), _fmt(w), _fmt(r), _fmt(s)]
-            for t, w, r, s in zip(ratio.t_start, ratio.width, ratio.ratio, ratio.sigma)
-        ]
-        _emit(_csv_text(["t_start_s", "width_s", "ratio", "sigma"], rows), None)
+    write_ratio_series(normalize(gamma, kalpha), args.out or sys.stdout)
     return 0
 
 
@@ -286,7 +278,7 @@ def run_cli(argv) -> int:
     except (ConfigError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, StructuralError, QuadratureError) as exc:
+    except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 from .errors import DomainError
 
-# hbar in eV*s and hbar*c in eV*m, from CODATA via scipy
-HBAR_EVS = _const.hbar / _const.e
-HBARC_EVM = _const.hbar * _const.c / _const.e
-C_LIGHT = _const.c  # m/s
+# Planck constant, elementary charge and speed of light are exact in SI
+# 2019; hbar in eV*s and hbar*c in eV*m follow from them in the same
+# arithmetic as scipy.constants
+_H_PLANCK = 6.62607015e-34  # J*s
+_HBAR = _H_PLANCK / (2 * np.pi)  # J*s
+_E_CHARGE = 1.602176634e-19  # C
+C_LIGHT = 299792458.0  # m/s
+HBAR_EVS = _HBAR / _E_CHARGE
+HBARC_EVM = _HBAR * C_LIGHT / _E_CHARGE
 
 # Mean lifetime of the 39.75-keV Mossbauer state of 103mRh (seconds).
 TAU0_S = 4857.0

@@ -10,6 +10,7 @@ offending line by number.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 import warnings
 
 import numpy as np
@@ -78,9 +79,10 @@ def read_count_series(path) -> CountSeries:
 
 
 def write_ratio_series(series: RatioSeries, path) -> None:
-    """Write a ratio series; invalid bins become NaN ratio and sigma."""
+    """Write a ratio series to a file path or an open text stream (such as
+    ``sys.stdout``); invalid bins become NaN ratio and sigma."""
     rows = zip(series.t_start.tolist(), series.width.tolist(), series.ratio.tolist(), series.sigma.tolist())
-    with open(path, "w", newline="") as fh:
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
         fh.write(",".join(RATIO_HEADER) + "\n")
         fh.writelines(f"{t!r},{w!r},{r!r},{s!r}\n" for t, w, r, s in rows)
 

@@ -13,9 +13,5 @@ class StructuralError(ValueError):
     """A data structure violates an invariant (bad header, overlapping bins, ...)."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; message carries diagnostics."""
-
-
 class ConfigError(ValueError):
     """A run configuration is malformed or contains unknown keys."""

@@ -190,7 +190,10 @@ def longitudinal_B_invariance_check(fs: FieldState, beta, tol: float = 1e-12) ->
         return False
     if nb == 0.0:
         return True
-    b_hat = beta / nb
+    # scale before normalizing: for |beta| below about 1e-154 the square
+    # in nb is subnormal and carries too few digits for a unit vector
+    b_hat = beta / np.max(np.abs(beta))
+    b_hat = b_hat / np.linalg.norm(b_hat)
     b_perp = fs.B - b_hat * np.dot(b_hat, fs.B)
     if np.linalg.norm(b_perp) > tol * scale:
         return False

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .beat import BeatParams, bin_expected_counts
 from .errors import DomainError, StructuralError
@@ -224,6 +223,8 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     covariance is Gauss-Newton: exact columns for the linear parameters,
     central differences for tau_d and phi0.
     """
+    import scipy.optimize  # here, not at module level, so `import mossbeat` loads no scipy
+
     free = cfg.free_params
     base = cfg.base
     bounds = cfg.bounds

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mossbeat import (
     BeatParams,
     DomainError,
-    QuadratureError,
     accumulated_intensity,
     beat_curve,
     beat_minima,
@@ -183,13 +182,13 @@ def test_accumulated_intensity_input_checks():
         accumulated_intensity(-1.0, p)
 
 
-def test_accumulated_intensity_reports_quadrature_trouble(monkeypatch):
-    def broken_quad(*args, **kwargs):
-        return 1.0, 1.0  # error estimate as large as the value
-
-    monkeypatch.setattr(scipy.integrate, "quad", broken_quad)
-    with pytest.raises(QuadratureError):
-        accumulated_intensity(0.0, BeatParams())
+def test_accumulated_intensity_short_lifetime_long_beat():
+    # tau0 << tau_d: the whole signal sits in the first few tau0, so a
+    # panel capped only at a quarter beat period would span all of it
+    # (oracle error 1.4e-7)
+    p = BeatParams(n0=1.0, tau0=10.0, tau_d=1e8, phi0=0.3, t_pump=3600.0)
+    got = accumulated_intensity(0.0, p)
+    assert got == pytest.approx(_midpoint_accumulated(p, 0.0), rel=1e-6)
 
 
 # --------------------------------------------------------------- beat_curve
@@ -203,6 +202,16 @@ def test_beat_curve_matches_pointwise():
     assert np.array_equal(curve[:, 0], grid)
     for t, val in curve:
         assert val == accumulated_intensity(t, p)
+
+
+def test_beat_curve_j0sq_against_midpoint():
+    p = BeatParams(n0=1.0, tau0=4857.0, tau_d=500.0, t_pump=1800.0, background=0.001)
+    grid = np.array([0.0, 350.0, 1400.0, 5000.0, 12000.0])
+    curve = beat_curve(p, grid, kernel="j0sq")
+    for t, val in curve:
+        # 20 000 midpoints keep the oracle within 2e-9 here
+        ref = _midpoint_accumulated(p, t, n=20000, kernel="j0sq")
+        assert val == pytest.approx(ref, rel=1e-7)
 
 
 def test_beat_curve_grid_checks():
@@ -314,6 +323,14 @@ def test_bin_expected_counts_vs_quadrature_of_accumulated():
         lambda t: accumulated_intensity(t, p), 100.0, 400.0, epsrel=1e-11, limit=200
     )
     assert got == pytest.approx(ref, rel=1e-9)
+
+
+def test_bin_expected_counts_short_lifetime_long_beat():
+    # tau0 << tau_d: a panel capped only at a quarter beat period would
+    # span hundreds of decay lengths (oracle error 7.6e-8)
+    p = BeatParams(n0=1.0, tau0=10.0, tau_d=1e6, phi0=0.3, t_pump=3600.0)
+    got = bin_expected_counts(p, [0.0, 1800.0])[0]
+    assert got == pytest.approx(_midpoint_bin_oracle(p, 0.0, 1800.0), rel=1e-6)
 
 
 def test_bin_expected_counts_phase_periodicity():

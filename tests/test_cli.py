@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
+from pathlib import Path
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from mossbeat import (
     read_ratio_series,
     thermal_strain_rate,
 )
+import mossbeat
 from mossbeat.cli import run_cli
 
 
@@ -155,6 +159,18 @@ def test_simulate_fit_normalize_pipeline(tmp_path, capsys):
     assert len(ratio) == 600
 
 
+def test_normalize_stdout_matches_ratio_file(tmp_path, capsys):
+    prefix = str(tmp_path / "run")
+    assert run_cli(["simulate", "--out", prefix, "--set", "kalpha_scale=0.0005"]) == 0
+    capsys.readouterr()
+    args = ["normalize", "--gamma", prefix + "_gamma.csv", "--kalpha", prefix + "_kalpha.csv"]
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    assert run_cli(args + ["--out", str(tmp_path / "ratio.csv")]) == 0
+    assert printed == (tmp_path / "ratio.csv").read_text()
+    assert "nan,nan" in printed  # empty kalpha bins go through the same writer
+
+
 def test_config_file_flag(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"beat": {"tau_d": 1234.5}}))
@@ -180,6 +196,15 @@ def test_exit_codes(tmp_path, capsys):
 def test_set_flag_requires_equals(capsys):
     assert run_cli(["estimate", "--set", "justakey"]) == 2
     capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(mossbeat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mossbeat; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+import scipy.constants
 
+from mossbeat import constants
 from mossbeat import (
     DEFAULT_RHODIUM,
     DomainError,
@@ -25,6 +27,13 @@ def test_natural_linewidth_value():
     assert natural_linewidth(4857.0) == pytest.approx(HBAR_EVS_ORACLE / 4857.0, rel=1e-12)
     # order of magnitude the transition is known for
     assert 1.0e-19 <= natural_linewidth(4857.0) <= 2.0e-19
+
+
+def test_si_literals_match_scipy_constants():
+    sc = scipy.constants
+    assert constants.HBAR_EVS == sc.hbar / sc.e
+    assert constants.HBARC_EVM == sc.hbar * sc.c / sc.e
+    assert constants.C_LIGHT == sc.c
 
 
 def test_natural_linewidth_rejects_nonpositive():

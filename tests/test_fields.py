@@ -191,6 +191,14 @@ def test_longitudinal_b_invariance(beta_z, amp, phase):
     assert longitudinal_B_invariance_check(fs, [0.0, 0.0, beta_z])
 
 
+def test_longitudinal_b_invariance_tiny_boost():
+    # |beta|^2 is subnormal here; the boost direction must still be exact
+    fs = FieldState([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    assert longitudinal_B_invariance_check(fs, [0.0, 0.0, 1.824142201298661e-161])
+    tilted = FieldState([0.0, 0.0, 0.0], [3.0, 4.0, 0.0])
+    assert longitudinal_B_invariance_check(tilted, [3e-160, 4e-160, 0.0])
+
+
 def test_longitudinal_b_invariance_rejects_transverse():
     fs = FieldState([0.0, 0.0, 0.0], [1.0, 0.0, 1.0])
     assert not longitudinal_B_invariance_check(fs, [0.0, 0.0, 0.5])
