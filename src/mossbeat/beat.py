@@ -13,7 +13,8 @@ phi0)^2, so their spacing grows linearly with m.
 Every integral of the rate -- the accumulated intensity, the beat curve
 and the expected counts per bin -- goes through one engine: fixed-order
 Gauss-Legendre panels in u = sqrt(tau), where the integrand is smooth,
-each panel capped at a quarter beat period and at sqrt(tau0).
+each panel capped at a quarter beat period, at sqrt(tau0) and at the
+local decay length tau0 / (2 u).
 
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
@@ -227,9 +228,10 @@ def accumulated_intensity(t: float, p: BeatParams, kernel: str = "cos2") -> floa
     """Intensity collected over [t, t + t_pump].
 
     The one-point case of ``beat_curve``: a Gauss-Legendre panel sum in
-    u = sqrt(tau), each panel no wider than the smaller of a quarter beat
-    period and sqrt(tau0), accurate to machine precision on the smooth
-    integrand; the flat background contributes background * t_pump.
+    u = sqrt(tau), each panel no wider than a quarter beat period,
+    sqrt(tau0) and the local decay length tau0 / (2 u), accurate to
+    machine precision on the smooth integrand; the flat background
+    contributes background * t_pump.
     """
     if not (np.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be nonnegative, got {t!r}")
@@ -297,7 +299,8 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Panel engine shared by the accumulated intensity and the binned model.
+# Panel engine shared by the accumulated intensity, the binned model and the
+# fit's phase columns.
 #
 # Swapping the order of the double integral, the expected counts in a bin
 # [a, b] are the single integral of g(tau) times the overlap length
@@ -306,52 +309,180 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
 # accurate to machine precision relative to each bin.  The integrands are
 # smooth in u = sqrt(tau); fixed-order Gauss-Legendre panels converge far
 # below the 1e-10 target once each panel is capped at a quarter beat
-# period and at sqrt(tau0), so that no panel spans many decay lengths
-# when tau0 << tau_d.
+# period, at sqrt(tau0) and at the local decay length tau0 / (2 u) of
+# exp(-u^2 / tau0), so that no panel spans many decay lengths when
+# tau0 << tau_d, early or late.
+#
+# A layout holds what depends only on the intervals, tau0 and the panel
+# count of each interval: nodes, weights, the decay envelope and the
+# trapezoid factors.  An evaluation multiplies in the modulation at one
+# tau_d (and phi0).  Panels are evaluated in blocks of whole intervals, so
+# the temporaries of one pass stay bounded however fine the panels get,
+# and every interval's sum is accumulated in the same order as in a single
+# pass.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# panels per block: about one group of a 600-bin model at one panel per interval
+_BLOCK_PANELS = 1024
 
 
-def _panel_width(p: BeatParams) -> float:
-    return min(np.pi * np.sqrt(p.tau_d) / 4.0, np.sqrt(p.tau0))
+def _decay_caps(u_hi: np.ndarray, tau0: float) -> np.ndarray:
+    """Panel width caps from the decay for intervals ending at u_hi > 0."""
+    return np.minimum(np.sqrt(tau0), tau0 / (2.0 * u_hi))
 
 
-def _panel_nodes(u_lo: np.ndarray, u_hi: np.ndarray, h_max: float):
-    """Split intervals into panels; nodes/weights plus owning interval index."""
-    gaps = u_hi - u_lo
-    n_panels = np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h_max).astype(int), 1), 0)
-    total = int(n_panels.sum())
-    if total == 0:
-        return None
-    idx = np.repeat(np.arange(len(gaps)), n_panels)
-    offsets = np.concatenate([[0], np.cumsum(n_panels)])
-    pos = np.arange(total) - offsets[idx]
-    h = (gaps / np.maximum(n_panels, 1))[idx]
-    a = u_lo[idx] + pos * h
-    u = a[:, None] + (_GL_NODES[None, :] + 1.0) * h[:, None] / 2.0
-    w = _GL_WEIGHTS[None, :] * h[:, None] / 2.0
-    return idx, u, w
+def _panel_counts(gaps: np.ndarray, caps: np.ndarray, tau_d: float) -> np.ndarray:
+    """Panels per interval of width ``gaps``, under ``caps`` and a quarter beat period."""
+    h_max = np.minimum(np.pi * np.sqrt(tau_d) / 4.0, caps)
+    return np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h_max).astype(int), 1), 0)
 
 
-def _sum_by_interval(idx, vals, n_intervals):
-    out = np.zeros(n_intervals)
-    np.add.at(out, idx, vals)
-    return out
+def _blocks(counts: np.ndarray):
+    """(start, stop) interval ranges of about _BLOCK_PANELS panels, cut only between intervals."""
+    block = (np.cumsum(counts) - 1) // _BLOCK_PANELS
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(counts)]])
+    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if counts[lo:hi].any()]
 
 
-def _decay_beat(u, p: BeatParams, kernel: str):
-    """Unit-n0 rate without background at tau = u^2."""
-    tau = u * u
-    return np.exp(-tau / p.tau0) * _modulation(tau, p, kernel)
+class _PanelLayout:
+    """Panel nodes over groups of u-intervals, for one tau0 and one set of
+    panel counts.
+
+    Each group is ``(u_lo, u_hi, anchor, sign)``.  Sign 0 integrates the
+    rate over each interval; sign +1 weights it by tau - anchor and -1 by
+    anchor - tau, the rising and falling sides of a bin's overlap
+    trapezoid.  With ``keep`` the node blocks are built once and reused by
+    every evaluation; otherwise each evaluation rebuilds them one block at
+    a time, which bounds the memory of a single large pass.
+    """
+
+    def __init__(self, groups, tau0: float, counts, keep: bool = False):
+        self.groups, self.tau0, self.counts = groups, tau0, counts
+        self._kept = [list(self._group_blocks(g)) for g in range(len(groups))] if keep else None
+
+    def _group_blocks(self, g):
+        u_lo, u_hi, anchor, sign = self.groups[g]
+        counts = self.counts[g]
+        for start, stop in _blocks(counts):
+            n = counts[start:stop]
+            local = np.repeat(np.arange(stop - start), n)
+            offsets = np.concatenate([[0], np.cumsum(n)])
+            pos = np.arange(offsets[-1]) - offsets[local]
+            h = ((u_hi - u_lo)[start:stop] / np.maximum(n, 1))[local]
+            a = u_lo[start:stop][local] + pos * h
+            u = a[:, None] + (_GL_NODES[None, :] + 1.0) * h[:, None] / 2.0
+            w = _GL_WEIGHTS[None, :] * h[:, None] / 2.0
+            idx = start + local
+            tau = u * u
+            if sign > 0:
+                tri = tau - anchor[idx][:, None]
+            elif sign < 0:
+                tri = anchor[idx][:, None] - tau
+            else:
+                tri = None
+            yield idx, u, w, tau, np.exp(-tau / self.tau0), tri
+
+    def integrate(self, modulation, k: int = 1) -> list[np.ndarray]:
+        """Per-group sums, shape (k, intervals), of the weighted unit-n0 rate.
+
+        ``modulation(tau)`` returns k new arrays of modulation factors at
+        the nodes, each shaped like ``tau``; they are overwritten.
+        """
+        out = []
+        for g, (u_lo, *_) in enumerate(self.groups):
+            sums = np.zeros((k, len(u_lo)))
+            blocks = self._kept[g] if self._kept is not None else self._group_blocks(g)
+            for idx, u, w, tau, env, tri in blocks:
+                for row_sum, vals in zip(sums, modulation(tau)):
+                    # in place on the fresh modulation array, in the order of
+                    # w * rate * 2 u (plain) or w * (tri * rate * 2 u)
+                    vals *= env
+                    if tri is None:
+                        vals *= w
+                    else:
+                        vals *= tri
+                    vals *= 2.0
+                    vals *= u
+                    if tri is not None:
+                        vals *= w
+                    np.add.at(row_sum, idx, vals.sum(axis=1))
+            out.append(sums)
+        return out
 
 
 def _decay_beat_integrals(u_lo: np.ndarray, u_hi: np.ndarray, p: BeatParams, kernel: str) -> np.ndarray:
     """Integral of the unit-n0 rate over tau in [u_lo^2, u_hi^2], per interval."""
-    packed = _panel_nodes(u_lo, u_hi, _panel_width(p))
-    if packed is None:
-        return np.zeros(len(u_lo))
-    idx, u, w = packed
-    return _sum_by_interval(idx, (w * _decay_beat(u, p, kernel) * 2.0 * u).sum(axis=1), len(u_lo))
+    counts = _panel_counts(u_hi - u_lo, _decay_caps(u_hi, p.tau0), p.tau_d)
+    layout = _PanelLayout([(u_lo, u_hi, None, 0)], p.tau0, [counts])
+    return layout.integrate(lambda tau: (_modulation(tau, p, kernel),))[0][0]
+
+
+class _BinModel:
+    """Unit-n0 binned model, without background, for fixed edges, tau0 and
+    t_pump: ``bin_expected_counts`` is n0 times its ``unit_counts`` plus the
+    background term.
+
+    With ``reuse`` it keeps one panel layout and rebuilds it only when a
+    new tau_d changes the panel counts.  The layout keeps its nodes when
+    every interval has at most one panel, the coarsest layout these edges
+    allow; the finer ones that a small tau_d needs are rebuilt block by
+    block on each pass, so the memory a fit holds stays that of one
+    coarse pass.
+    """
+
+    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float, reuse: bool = False):
+        a, b = edges[:-1], edges[1:]
+        lvl = np.minimum(b - a, t_pump)  # plateau height of the overlap trapezoid
+        r1 = a + lvl
+        r2 = b + t_pump - lvl
+        # plateau: lvl times the integral of g over [r1, r2], via one shared
+        # cumulative table over the union of breakpoints
+        xs = np.unique(np.concatenate([r1, r2]))
+        us = np.sqrt(np.concatenate([[0.0], xs]))
+        self.lvl, self.i1, self.i2 = lvl, np.searchsorted(xs, r1), np.searchsorted(xs, r2)
+        self.groups = [
+            (np.sqrt(a), np.sqrt(r1), a, 1),  # rising edge: weight tau - a on [a, r1]
+            (np.sqrt(r2), np.sqrt(b + t_pump), b + t_pump, -1),  # falling edge: b + pump - tau
+            (us[:-1], us[1:], None, 0),
+        ]
+        self.widths = [(u_hi - u_lo, _decay_caps(u_hi, tau0)) for u_lo, u_hi, *_ in self.groups]
+        self.tau0, self.reuse = tau0, reuse
+        self._layout = None
+
+    def _sums(self, tau_d: float, modulation, k: int = 1) -> np.ndarray:
+        """(k, bins) unit-n0 expected counts for k modulation factors."""
+        counts = [_panel_counts(gaps, caps, tau_d) for gaps, caps in self.widths]
+        layout = self._layout
+        if layout is None or not all(np.array_equal(c, old) for c, old in zip(counts, layout.counts)):
+            self._layout = layout = None  # free the old nodes before building new ones
+            keep = self.reuse and all(int(c.sum()) <= len(c) for c in counts)
+            layout = _PanelLayout(self.groups, self.tau0, counts, keep)
+            if self.reuse:
+                self._layout = layout
+        rise, fall, table = layout.integrate(modulation, k)
+        m0 = np.cumsum(table, axis=-1)
+        flat = self.lvl * (m0[:, self.i2] - m0[:, self.i1])
+        return rise + flat + fall
+
+    def unit_counts(self, p: BeatParams, kernel: str = "cos2") -> np.ndarray:
+        """Unit-n0 counts at p's tau_d and phi0 (p.tau0 must be this model's)."""
+        return self._sums(p.tau_d, lambda tau: (_modulation(tau, p, kernel),))[0]
+
+    def phase_columns(self, tau_d: float) -> tuple[np.ndarray, np.ndarray]:
+        """Columns (D, S) with unit-n0 cos2 counts K/2 + cos(2 phi0) D - sin(2 phi0) S.
+
+        cos^2(x + phi0) = 1/2 + cos(2 phi0) cos(2x) / 2 - sin(2 phi0) sin(2x) / 2,
+        so one panel pass over cos 2x and sin 2x gives the model at every
+        phase; K is the unmodulated integral (``kalpha_bin_expected`` at
+        unit scale).
+        """
+
+        def modulation(tau):
+            x = 2.0 * np.sqrt(tau / tau_d)
+            return np.cos(x), np.sin(x, out=x)
+
+        d, s = 0.5 * self._sums(tau_d, modulation, 2)
+        return d, s
 
 
 def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarray:
@@ -369,36 +500,5 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
         raise DomainError("edges must be nonnegative and strictly increasing")
     if not p.t_pump > 0.0:
         raise DomainError("t_pump must be positive")
-    a, b = edges[:-1], edges[1:]
-    width = b - a
-    pump = p.t_pump
-    lvl = np.minimum(width, pump)  # plateau height of the overlap trapezoid
-    r1 = a + lvl
-    r2 = b + pump - lvl
-    n_bins = len(a)
-    h_max = _panel_width(p)
-
-    # rising edge: weight tau - a on [a, r1]
-    rise = np.zeros(n_bins)
-    packed = _panel_nodes(np.sqrt(a), np.sqrt(r1), h_max)
-    if packed is not None:
-        idx, u, w = packed
-        f = (u * u - a[idx][:, None]) * _decay_beat(u, p, kernel) * 2.0 * u
-        rise = _sum_by_interval(idx, (w * f).sum(axis=1), n_bins)
-
-    # falling edge: weight b + pump - tau on [r2, b + pump]
-    fall = np.zeros(n_bins)
-    packed = _panel_nodes(np.sqrt(r2), np.sqrt(b + pump), h_max)
-    if packed is not None:
-        idx, u, w = packed
-        f = ((b + pump)[idx][:, None] - u * u) * _decay_beat(u, p, kernel) * 2.0 * u
-        fall = _sum_by_interval(idx, (w * f).sum(axis=1), n_bins)
-
-    # plateau: lvl times the integral of g over [r1, r2], via one shared
-    # cumulative table over the union of breakpoints
-    xs = np.unique(np.concatenate([r1, r2]))
-    us = np.sqrt(np.concatenate([[0.0], xs]))
-    m0 = np.cumsum(_decay_beat_integrals(us[:-1], us[1:], p, kernel))
-    flat = lvl * (m0[np.searchsorted(xs, r2)] - m0[np.searchsorted(xs, r1)])
-
-    return p.n0 * (rise + flat + fall) + p.background * pump * width
+    unit = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)
+    return p.n0 * unit + p.background * p.t_pump * np.diff(edges)

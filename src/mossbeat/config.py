@@ -40,8 +40,7 @@ _SCHEMA = {
     "seed": None,
     "fieldmap": {"center": None, "extent_cells": None, "n": None},
     "beat_grid": {"t_start_s": None, "t_stop_s": None, "n": None},
-    "fit": {"free_params": None, "bounds": None, "phase_grid": None,
-            "max_iters": None, "tolerance": None},
+    "fit": {"free_params": None, "bounds": None, "max_iters": None, "tolerance": None},
     "outputs": {"gamma_csv": None, "kalpha_csv": None},
 }
 

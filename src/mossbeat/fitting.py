@@ -6,10 +6,16 @@ expectations.  The scale n0 and the background enter the model
 linearly, so the fit uses variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 1973): each evaluation at a candidate (tau_d, phi0)
 solves the free linear parameters exactly by bounded weighted least
-squares, and Nelder-Mead searches only the free nonlinear ones.  The
-beat phase makes the landscape multimodal, so every start of a
-deterministic phase grid is screened to a coarse tolerance and only the
-best one is polished.
+squares, and Nelder-Mead searches only the free nonlinear ones.
+
+The phase is carried one step further.  cos^2(x + phi0) = 1/2 +
+cos(2 phi0) cos(2x) / 2 - sin(2 phi0) sin(2x) / 2, so at a fixed tau_d
+the binned model is n0 (K/2 + cos(2 phi0) D - sin(2 phi0) S), and one
+panel pass gives the three columns.  From their QR factor the best
+phi0, n0 and background cost O(1) per trial phase.  The fit screens
+this exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which
+finds the one deep basin of the beat landscape without a multistart,
+and polishes the best grid point with Nelder-Mead on the full model.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beat import BeatParams, bin_expected_counts
+from .beat import BeatParams, _BinModel, bin_expected_counts
 from .errors import DomainError, StructuralError
 from .spectra import kalpha_bin_expected
 
@@ -36,9 +42,14 @@ _DEFAULT_BOUNDS = {
     "phi0": (0.0, np.pi),
     "background": (0.0, 1e9),
 }
-# screening tolerances: enough to rank the phase-grid starts
-_SCREEN_XATOL = 1e-3
-_SCREEN_RTOL = 1e-3
+# screen: tau_d grid points per decade; trial phases per phase range before
+# the golden-section refinement.  That refinement stops at _PHASE_XTOL rad,
+# far inside the polish's first simplex, while its chi2 comparisons are still
+# decided by more than rounding, so that data rescaled by a constant give the
+# polish the same start bit for bit.
+_GRID_PER_DECADE = 4
+_PHASE_TRIALS = 32
+_PHASE_XTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,14 +57,14 @@ class FitConfig:
     """Controls for ``fit_beat``.
 
     ``base`` supplies every parameter that is not free (tau0 and t_pump
-    are never fitted) and the starting value of tau_d; phi0 starts from
-    a grid of ``phase_grid`` points over its bounds, and free n0 and
-    background need no start because they are solved exactly.
+    are never fitted).  Free parameters need no start: tau_d comes from
+    a grid over its bounds, phi0, n0 and background are solved at each
+    grid point.  ``max_iters`` and ``tolerance`` control the Nelder-Mead
+    polish.
     """
 
     free_params: tuple[str, ...] = ("n0", "tau_d", "phi0")
     bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    phase_grid: int = 8
     max_iters: int = 2000
     tolerance: float = 1e-9
     base: BeatParams = field(default_factory=BeatParams)
@@ -72,8 +83,6 @@ class FitConfig:
                 raise DomainError(f"bounds given for unknown parameter {name!r}")
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise DomainError(f"bounds for {name} must be finite with lo < hi, got ({lo!r}, {hi!r})")
-        if self.phase_grid < 1:
-            raise DomainError("phase_grid must be >= 1")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -84,9 +93,10 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitStart:
-    """One screened start: its phase, the chi2 it reached, the model
-    evaluations it took and the optimizer's status."""
+    """The screen's outcome: the best grid tau_d, its exact phi0 and
+    profile chi2, the model evaluations the screen took and its status."""
 
+    tau_d: float
     phi0: float
     chi2: float
     evaluations: int
@@ -101,10 +111,10 @@ class FitResult:
     ``covariance`` rows/columns follow ``free_names`` (natural units,
     Gauss-Newton (J^T J)^-1 of the weighted residuals at the optimum).
     ``converged`` is the status of the final polish.  ``message``
-    carries bound-contact notes and, when no screened start converged,
-    their diagnostics.  ``evaluations`` counts model evaluations over
-    the whole fit; ``starts`` holds one ``FitStart`` per phase-grid
-    start (empty when no nonlinear parameter is free).
+    carries bound-contact notes and, if the polish stopped early, its
+    status.  ``evaluations`` counts model evaluations (panel passes)
+    over the whole fit; ``starts`` holds one ``FitStart`` for the
+    tau_d screen (empty when no nonlinear parameter is free).
     """
 
     params: BeatParams
@@ -157,13 +167,21 @@ class _WeightedSeries:
         self.sig = sig[keep]
         self.y = obs[keep] / self.sig
         self.background = t_pump * np.diff(edges)[keep] / denom / self.sig
+        self.half_k = 0.5 * kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep] / denom / self.sig
+        self.model = _BinModel(edges, tau0, t_pump, reuse=True)
         self.evaluations = 0
 
     def columns(self, p: BeatParams) -> np.ndarray:
         """(bins, 2) model columns of n0 and background at p's tau_d and phi0."""
         self.evaluations += 1
-        unit = bin_expected_counts(replace(p, n0=1.0, background=0.0), self.edges)[self.keep]
+        unit = self.model.unit_counts(p)[self.keep]
         return np.column_stack([unit / self.denom / self.sig, self.background])
+
+    def phase_columns(self, tau_d: float) -> np.ndarray:
+        """(bins, 3) columns K/2, D and S of the unit-n0 model at tau_d."""
+        self.evaluations += 1
+        d, s = self.model.phase_columns(tau_d)
+        return np.column_stack([self.half_k, d[self.keep] / self.denom / self.sig, s[self.keep] / self.denom / self.sig])
 
 
 def _residual(y: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -171,57 +189,104 @@ def _residual(y: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return y - cols @ coef
 
 
-def _scalar_lstsq(a: np.ndarray, t: np.ndarray, lo: float, hi: float) -> float:
-    """argmin |t - a x| over lo <= x <= hi for one column a."""
-    den = float(np.dot(a, a))
-    return float(np.clip(np.dot(a, t) / den if den > 0.0 else 0.0, lo, hi))
+def _bounded_lstsq(a, c, t, lin, coef, lo, hi):
+    """argmin over (x0, x1) of |t - x0 a - x1 c|^2 and the minimum,
+    elementwise over the leading axes of vectors stored on the last axis.
 
-
-def _bounded_lstsq(a: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """argmin |t - a x| over lo <= x <= hi, for a with one or two columns.
-
-    Clipping is exact for one column.  For two, the unconstrained
-    solution stands when it is inside the box; otherwise the optimum of
-    the convex quadratic lies on an edge of the box, so each edge is
-    solved as a clipped one-column problem and the best one is taken.
+    The coordinates listed in ``lin`` are free within [lo, hi], the
+    others stay at ``coef``.  Clipping is exact for one free coordinate.
+    For two, the unconstrained optimum stands when it is inside the box;
+    otherwise the optimum of the convex quadratic lies on an edge of the
+    box, so each edge is solved as a clipped one-coordinate problem and
+    the best one is taken.  Every residual is formed explicitly, so the
+    sum of squares keeps its relative precision.
     """
-    if a.shape[1] == 1:
-        return np.array([_scalar_lstsq(a[:, 0], t, lo[0], hi[0])])
-    x = np.linalg.lstsq(a, t, rcond=None)[0]
-    if np.all((lo <= x) & (x <= hi)):
-        return x
-    best, best_ss = x, np.inf
-    for j in (0, 1):
-        k = 1 - j
-        for v in (lo[j], hi[j]):
-            cand = np.empty(2)
-            cand[j] = v
-            cand[k] = _scalar_lstsq(a[:, k], t - a[:, j] * v, lo[k], hi[k])
-            r = _residual(t, a, cand)
-            ss = float(np.dot(r, r))
-            if ss < best_ss:
-                best, best_ss = cand, ss
-    return best
+    cols = (a, c)
+    shape = np.broadcast_shapes(a.shape, c.shape, t.shape)[:-1]
+
+    def dot(u, v):
+        return (u * v).sum(axis=-1)
+
+    def value(x0, x1):
+        r = t - x0[..., None] * a - x1[..., None] * c
+        return dot(r, r)
+
+    def solve(j, other):
+        """Best coordinate j within its bounds, the other one held at ``other``."""
+        col, rest = cols[j], t - other[..., None] * cols[1 - j]
+        den = dot(col, col)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(den > 0.0, dot(col, rest) / den, 0.0)
+        k = lin.index(j)
+        return np.clip(x, lo[k], hi[k])
+
+    x = [np.full(shape, coef[0]), np.full(shape, coef[1])]
+    if len(lin) < 2:
+        if lin:
+            x[lin[0]] = solve(lin[0], x[1 - lin[0]])
+        return x[0], x[1], value(*x)
+    aa, ac, cc, at, ct = dot(a, a), dot(a, c), dot(c, c), dot(a, t), dot(c, t)
+    det = aa * cc - ac * ac
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0, x1 = (at * cc - ct * ac) / det, (ct * aa - at * ac) / det
+    inside = (det > 0.0) & (lo[0] <= x0) & (x0 <= hi[0]) & (lo[1] <= x1) & (x1 <= hi[1])
+    x0, x1 = np.where(inside, x0, 0.0), np.where(inside, x1, 0.0)
+    best = np.where(inside, value(x0, x1), np.inf)
+    edges = [(solve(0, np.full(shape, v)), np.full(shape, v)) for v in (lo[1], hi[1])]
+    edges += [(np.full(shape, v), solve(1, np.full(shape, v))) for v in (lo[0], hi[0])]
+    for e0, e1 in edges:
+        ss = value(e0, e1)
+        better = ss < best
+        x0, x1, best = np.where(better, e0, x0), np.where(better, e1, x1), np.where(better, ss, best)
+    return x0, x1, best
 
 
 def chi2(series, params: BeatParams) -> float:
     """Weighted residual sum of squares of the bin-integrated model."""
     data = _WeightedSeries(series, params.tau0, params.t_pump)
-    r = _residual(data.y, data.columns(params), np.array([params.n0, params.background]))
+    r = data.y - bin_expected_counts(params, data.edges)[data.keep] / data.denom / data.sig
     return float(np.dot(r, r))
 
 
+def _golden_min(f, a, b, xtol):
+    """Golden-section minimum of f on [a, b], elementwise over arrays.
+
+    It only compares values of f.  Returns the abscissae and their
+    values.
+    """
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    width = float(np.max(b - a))
+    steps = int(np.ceil(np.log(xtol / width) / np.log(r))) if width > xtol else 0
+    for _ in range(steps):
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - r * (b - a), a + r * (b - a))
+        fnew = f(new)
+        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
+                        np.where(left, fnew, fd), np.where(left, fc, fnew))
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
+
+
 def fit_beat(series, cfg: FitConfig) -> FitResult:
-    """Best multistart optimum of chi2 over the free parameters.
+    """Best fit of chi2 over the free parameters.
 
     Deterministic for fixed inputs.  Free n0 and background are solved
-    exactly at every evaluation; bounded Nelder-Mead searches free tau_d
-    (in log10) and phi0.  Each phase-grid start is screened with xatol
-    1e-3 and fatol 1e-3 relative to its starting chi2, ties within 1e-9
-    relative chi2 break toward lower tau_d, and the best start is
-    polished with xatol 1e-8 and fatol ``cfg.tolerance`` relative.  The
-    covariance is Gauss-Newton: exact columns for the linear parameters,
-    central differences for tau_d and phi0.
+    exactly at every evaluation.  A free tau_d is screened on a grid of
+    4 log-spaced points per decade over its bounds, both ends included;
+    at each grid point one panel pass gives the columns K/2, D and S,
+    and the best phi0 (with n0 and background) follows from their QR
+    factor, at O(1) cost per trial phase: 32 trial phases over the
+    phase range, then golden section to 1e-6 rad.  Ties within 1e-9
+    relative chi2 break toward lower tau_d.  Nelder-Mead then polishes
+    (log10 tau_d, phi0) on the full model from the best grid point with
+    xatol 1e-8 and fatol ``cfg.tolerance`` relative.  When the phi0 bounds span at least pi,
+    the period of the model, the phase is searched unbounded and
+    reported in [lo, lo + pi); narrower bounds are enforced.  The
+    covariance is Gauss-Newton: exact columns for the linear
+    parameters, central differences for tau_d and phi0.
     """
     import scipy.optimize  # here, not at module level, so `import mossbeat` loads no scipy
 
@@ -230,55 +295,90 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     bounds = cfg.bounds
     data = _WeightedSeries(series, base.tau0, base.t_pump)
     lin = [i for i, name in enumerate(_LINEAR) if name in free]
-    fixed = [i for i, name in enumerate(_LINEAR) if name not in free]
     lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
     nonlin = [name for name in ("tau_d", "phi0") if name in free]
     if "tau_d" in free and bounds["tau_d"][0] <= 0.0:
         raise DomainError("tau_d lower bound must be positive")
-    z_bounds = [(np.log10(bounds[n][0]), np.log10(bounds[n][1])) if n == "tau_d" else bounds[n] for n in nonlin]
+    phase_lo, phase_hi = bounds["phi0"]
+    periodic = phase_hi - phase_lo >= np.pi
+    z_bounds = []
+    for name in nonlin:
+        if name == "tau_d":
+            z_bounds.append((np.log10(bounds[name][0]), np.log10(bounds[name][1])))
+        else:
+            z_bounds.append((-np.inf, np.inf) if periodic else (phase_lo, phase_hi))
 
     def project(z):
         """Params with the linear ones solved at nonlinear point z; columns; residuals."""
         p = replace(base, **{n: float(10.0**v if n == "tau_d" else v) for n, v in zip(nonlin, z)})
         cols = data.columns(p)
-        coef = np.array([p.n0, p.background])
-        if lin:
-            target = _residual(data.y, cols[:, fixed], coef[fixed])
-            coef[lin] = _bounded_lstsq(cols[:, lin], target, lin_lo, lin_hi)
-        return replace(p, n0=float(coef[0]), background=float(coef[1])), cols, _residual(data.y, cols, coef)
+        n0, background, _ = _bounded_lstsq(cols[:, 0], cols[:, 1], data.y, lin, (p.n0, p.background), lin_lo, lin_hi)
+        coef = np.array([n0, background])
+        return replace(p, n0=float(n0), background=float(background)), cols, _residual(data.y, cols, coef)
 
     def objective(z) -> float:
         r = project(z)[2]
         return float(np.dot(r, r))
 
-    def search(z0, xatol, rtol, f0):
-        options = {"maxiter": cfg.max_iters, "maxfev": 4 * cfg.max_iters, "xatol": xatol,
-                   "fatol": rtol * max(f0, 1.0), "adaptive": False}
-        return scipy.optimize.minimize(objective, z0, method="Nelder-Mead", bounds=z_bounds, options=options)
-
     starts = []
     z = np.empty(0)
     polish = None
     if nonlin:
-        phases = [base.phi0]
+        # screen: the exact-phase profile chi2(tau_d) on a log grid
+        if "tau_d" in free:
+            z_lo, z_hi = z_bounds[0]
+            z_grid = np.linspace(z_lo, z_hi, int(np.ceil(_GRID_PER_DECADE * (z_hi - z_lo))) + 1)
+            taus = 10.0**z_grid
+        else:
+            taus = np.array([base.tau_d])
+        # per grid point, QR of the columns K/2, D, S and background:
+        # chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
+        # Residuals in this 4-d basis keep chi2's relative precision, which
+        # the normal equations lose where the columns are nearly parallel
+        # (a slow beat, with D close to K/2).
+        r_cols = np.empty((len(taus), 4, 4))
+        y_proj = np.empty((len(taus), 4))
+        rest = np.empty(len(taus))
+        for g, tau in enumerate(taus):
+            q, r_cols[g] = np.linalg.qr(np.column_stack([data.phase_columns(float(tau)), data.background]))
+            y_proj[g] = q.T @ data.y
+            r = data.y - q @ y_proj[g]
+            rest[g] = np.dot(r, r)
+        coef = (base.n0, base.background)
+
+        def profile(phases):
+            """chi2 at each (grid point, phase), linear parameters solved."""
+            v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
+            model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
+            ss = _bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lin_lo, lin_hi)[2]
+            return ss + rest[:, None]
+
         if "phi0" in free:
-            lo, hi = bounds["phi0"]
-            phases = lo + (hi - lo) * np.arange(cfg.phase_grid) / cfg.phase_grid
-        tau_start = [np.log10(np.clip(base.tau_d, *bounds["tau_d"]))] if "tau_d" in free else []
-        best = best_tau = None
-        for phase in phases:
-            before = data.evaluations
-            z0 = np.array(tau_start + ([phase] if "phi0" in free else []))
-            res = search(z0, _SCREEN_XATOL, _SCREEN_RTOL, objective(z0))
-            starts.append(FitStart(float(phase), float(res.fun), data.evaluations - before, bool(res.success), res.message))
-            tau = 10.0 ** res.x[0] if "tau_d" in free else base.tau_d
-            if best is None:
-                best, best_tau = res, tau
-                continue
-            tie = 1e-9 * (1.0 + best.fun)
-            if res.fun < best.fun - tie or (abs(res.fun - best.fun) <= tie and tau < best_tau):
-                best, best_tau = res, tau
-        polish = search(best.x, 1e-8, cfg.tolerance, best.fun)
+            if periodic:
+                trials = phase_lo + np.pi * np.arange(_PHASE_TRIALS) / _PHASE_TRIALS
+            else:
+                trials = np.linspace(phase_lo, phase_hi, _PHASE_TRIALS)
+            step = trials[1] - trials[0]
+            grid_trials = np.broadcast_to(trials, (len(taus), _PHASE_TRIALS))
+            start = trials[np.argmin(profile(grid_trials), axis=1)][:, None]
+            lo, hi = start - step, start + step
+            if not periodic:
+                lo, hi = np.maximum(lo, phase_lo), np.minimum(hi, phase_hi)
+            phases, chis = _golden_min(profile, lo, hi, _PHASE_XTOL)
+            phases, chis = phases[:, 0], chis[:, 0]
+        else:
+            phases = np.full(len(taus), base.phi0)
+            chis = profile(phases[:, None])[:, 0]
+        best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
+        phase = float(phases[best])
+        if "phi0" in free and periodic:
+            phase = phase_lo + (phase - phase_lo) % np.pi
+        starts.append(FitStart(float(taus[best]), phase, float(chis[best]), data.evaluations, True,
+                               f"best of {len(taus)} tau_d grid points"))
+        z0 = np.array(([z_grid[best]] if "tau_d" in free else []) + ([phases[best]] if "phi0" in free else []))
+        options = {"maxiter": cfg.max_iters, "maxfev": 4 * cfg.max_iters, "xatol": 1e-8,
+                   "fatol": cfg.tolerance * max(float(chis[best]), 1.0), "adaptive": False}
+        polish = scipy.optimize.minimize(objective, z0, method="Nelder-Mead", bounds=z_bounds, options=options)
         z = polish.x
 
     params, cols, r = project(z)
@@ -304,12 +404,12 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     except np.linalg.LinAlgError:
         cov = None
 
-    if "phi0" in free:
-        params = replace(params, phi0=float(params.phi0 % np.pi))
+    if "phi0" in free and periodic:
+        params = replace(params, phi0=float(phase_lo + (params.phi0 - phase_lo) % np.pi))
 
     # bound contact: linear parameters sit exactly on a bound when the
     # solve clips them; nonlinear ones are judged in the search
-    # coordinates, where Nelder-Mead saturates
+    # coordinates, where Nelder-Mead saturates (an unbounded phase never does)
     msgs = []
     z_at = dict(zip(nonlin, zip(z, z_bounds)))
     for name in free:
@@ -325,9 +425,6 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             msgs.append(f"{name} at lower bound {lo:g}")
         elif at_hi:
             msgs.append(f"{name} at upper bound {hi:g}")
-    if starts and not any(s.converged for s in starts):
-        notes = (f"start {i} (phi0 = {s.phi0:.4f}): {s.message}" for i, s in enumerate(starts))
-        msgs.append("no start converged: " + "; ".join(notes))
     converged = polish is None or bool(polish.success)
     if not converged:
         msgs.append(f"polish: {polish.message}")

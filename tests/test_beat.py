@@ -16,8 +16,10 @@ from mossbeat import (
     bessel_j0_asymptotic,
     bin_expected_counts,
     count_rate,
+    kalpha_bin_expected,
     tau_d,
 )
+from mossbeat.beat import _BinModel
 
 
 def j0_integral_oracle(x):
@@ -182,6 +184,21 @@ def test_accumulated_intensity_input_checks():
         accumulated_intensity(-1.0, p)
 
 
+def test_accumulated_intensity_decay_cap_late_times():
+    # tau0 << tau_d long after t = 0: the decay length in u = sqrt(tau)
+    # shrinks as tau0 / (2u), so a fixed cap of sqrt(tau0) lets one panel
+    # span many decay lengths.  The oracle is quad split every tau0 / 4 over
+    # the first 100 tau0 of the window; the rest weighs below e^-100.
+    p = BeatParams(n0=1.0, tau0=10.0, tau_d=1e8, phi0=0.3, t_pump=3600.0)
+    for t in (3000.0, 6000.0):
+        knots = np.linspace(t, t + 100.0 * p.tau0, 401)
+        ref = sum(
+            scipy.integrate.quad(lambda tau: _rate_oracle(tau, p), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+            for lo, hi in zip(knots[:-1], knots[1:])
+        )
+        assert accumulated_intensity(t, p) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
 def test_accumulated_intensity_short_lifetime_long_beat():
     # tau0 << tau_d: the whole signal sits in the first few tau0, so a
     # panel capped only at a quarter beat period would span all of it
@@ -331,6 +348,24 @@ def test_bin_expected_counts_short_lifetime_long_beat():
     p = BeatParams(n0=1.0, tau0=10.0, tau_d=1e6, phi0=0.3, t_pump=3600.0)
     got = bin_expected_counts(p, [0.0, 1800.0])[0]
     assert got == pytest.approx(_midpoint_bin_oracle(p, 0.0, 1800.0), rel=1e-6)
+
+
+def test_phase_columns_reproduce_bin_expected_counts():
+    # cos^2(x + phi0) = 1/2 + cos(2 phi0) cos(2x) / 2 - sin(2 phi0) sin(2x) / 2:
+    # the fit's one-pass columns give the binned model at every phase.  The
+    # sum cancels where a bin sits near a beat zero, so its error is bounded
+    # relative to the unmodulated K everywhere, and relative to the bin
+    # itself where no bin falls below a tenth of K.
+    edges = np.linspace(0.0, 14400.0, 601)
+    k = kalpha_bin_expected(1.0, 4857.0, 3600.0, edges)
+    for td in (0.5, 3.0, 30.0, 100.0, 485.7, 1e4, 1e6):
+        d, s = _BinModel(edges, 4857.0, 3600.0).phase_columns(td)
+        for phi0 in (0.0, 0.3, 1.2, 2.9):
+            ref = bin_expected_counts(BeatParams(n0=1.0, tau0=4857.0, tau_d=td, phi0=phi0, t_pump=3600.0), edges)
+            got = k / 2.0 + np.cos(2.0 * phi0) * d - np.sin(2.0 * phi0) * s
+            assert np.max(np.abs(got - ref) / k) <= 1e-12
+            if np.min(ref / k) >= 0.1:
+                assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
 def test_bin_expected_counts_phase_periodicity():

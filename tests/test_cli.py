@@ -139,7 +139,6 @@ def test_simulate_fit_normalize_pipeline(tmp_path, capsys):
         "--out", str(fit_out),
         "--set", "beat.tau_d=2000.0",
         "--set", "beat.phi0=0.0",
-        "--set", "fit.phase_grid=4",
     ]
     assert run_cli(fit) == 0
     result = json.loads(fit_out.read_text())
@@ -176,6 +175,13 @@ def test_config_file_flag(tmp_path, capsys):
     path.write_text(json.dumps({"beat": {"tau_d": 1234.5}}))
     assert run_cli(["estimate", "--config", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_config_rejects_removed_phase_grid(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fit": {"phase_grid": 8}}))
+    assert run_cli(["fit", "--config", str(path), "--data", str(tmp_path / "unused.csv")]) == 2
+    assert "fit.phase_grid" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

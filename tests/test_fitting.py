@@ -165,8 +165,8 @@ def test_fit_config_validation():
         FitConfig(bounds={"tau_d": (5.0, 5.0)})
     with pytest.raises(DomainError):
         FitConfig(bounds={"mystery": (0.0, 1.0)})
-    with pytest.raises(DomainError):
-        FitConfig(phase_grid=0)
+    with pytest.raises(TypeError):
+        FitConfig(phase_grid=8)
     with pytest.raises(DomainError):
         FitConfig(tolerance=0.0)
 
@@ -244,7 +244,10 @@ def test_fit_records_evaluations_and_starts():
     out = fit_beat(gamma, FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0)))
     assert out.converged
     assert out.evaluations <= 1000
-    assert [s.phi0 for s in out.starts] == pytest.approx(np.pi * np.arange(8) / 8)
+    (screen,) = out.starts
+    assert screen.evaluations == 61  # 4 grid points per decade over (1e-3, 1e12)
+    assert screen.chi2 >= out.chi2
+    assert abs(np.log10(screen.tau_d / out.params.tau_d)) <= 0.25
     assert all(s.converged for s in out.starts)
     # the polish and the covariance take evaluations beyond the screen
     assert sum(s.evaluations for s in out.starts) < out.evaluations
@@ -259,3 +262,30 @@ def test_fit_ratio_series_free_background():
     out = fit_beat(normalize(gamma, kalpha), cfg)
     assert out.converged
     assert out.params.tau_d == pytest.approx(TRUE.tau_d, rel=0.05)
+
+
+def test_fit_evaluation_budget():
+    # criterion 11's seed 1000: the tau_d screen takes 61 panel passes,
+    # the polish and the covariance the rest
+    true = replace(TRUE, n0=4.0)
+    gamma, kalpha = simulate_counts(true, 1.0, 24.0, 14400.0, seed=1000)
+    cfg = FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    for series in (gamma, normalize(gamma, kalpha)):
+        out = fit_beat(series, cfg)
+        assert out.converged
+        assert out.evaluations <= 300
+
+
+@pytest.mark.parametrize("true_tau_d", [60.0, 10000.0])
+def test_fit_recovers_fast_and_slow_beats(true_tau_d):
+    # criterion 11's settings away from its tau_d: a phase clamped at a
+    # bound of (0, pi) used to stop the polish short of the basin
+    true = replace(TRUE, n0=4.0, tau_d=true_tau_d)
+    gamma, kalpha = simulate_counts(true, 1.0, 24.0, 14400.0, seed=1000)
+    cfg = FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    for series in (gamma, normalize(gamma, kalpha)):
+        out = fit_beat(series, cfg)
+        assert out.converged
+        assert out.params.tau_d == pytest.approx(true_tau_d, rel=0.05)
+        delta_phi = abs(out.params.phi0 - true.phi0) % np.pi
+        assert min(delta_phi, np.pi - delta_phi) <= 0.1
