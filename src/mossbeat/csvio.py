@@ -5,21 +5,37 @@ Schemas are fixed: ``t_start_s,width_s,counts,channel`` for counts and
 repr precision, so write-then-read is lossless; invalid ratio bins are
 stored as NaN pairs.  Readers validate structure and report the first
 offending line by number.
+
+Each reader first tries one numpy pass: the exact header, then every data
+row through ``np.loadtxt`` and the checks on whole columns.  Where that pass
+declines a file or finds anything wrong, the row-by-row reader reads it
+again; it is the authority on which files are accepted and on every error
+message, so both paths return the same series or raise the same error.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
+import io
+import math
 import warnings
 
 import numpy as np
 
 from .errors import StructuralError
-from .spectra import CountSeries, RatioSeries
+from .spectra import _EDGE_RTOL, CountSeries, RatioSeries, _first_break
 
 COUNT_HEADER = ["t_start_s", "width_s", "counts", "channel"]
 RATIO_HEADER = ["t_start_s", "width_s", "ratio", "sigma"]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_COUNT_DTYPE = np.dtype([("t_start_s", "f8"), ("width_s", "f8"), ("counts", "i8"), ("channel", "O")])
+_RATIO_DTYPE = np.dtype([(name, "f8") for name in RATIO_HEADER])
+# The numpy pass takes only files of printable ASCII and "\n".  numpy's
+# number parser skips some control characters (such as "\x1c") that
+# ``float`` and ``int`` reject, and its string fields drop trailing NULs.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
 def write_count_series(series: CountSeries, path) -> None:
@@ -36,46 +52,7 @@ def read_count_series(path) -> CountSeries:
     Raises ``StructuralError`` naming the first bad line; an empty data
     section yields an empty gamma-channel series with a warning.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != COUNT_HEADER:
-        got = ",".join(rows[0]) if rows else "<empty file>"
-        raise StructuralError(f"line 1: expected header {','.join(COUNT_HEADER)!r}, got {got!r}")
-    t_start, width, counts = [], [], []
-    channel = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise StructuralError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            t = float(row[0])
-            w = float(row[1])
-        except ValueError as exc:
-            raise StructuralError(f"line {lineno}: bad number: {exc}") from exc
-        try:
-            c = int(row[2])
-        except ValueError as exc:
-            raise StructuralError(f"line {lineno}: counts must be an integer, got {row[2]!r}") from exc
-        if c < 0:
-            raise StructuralError(f"line {lineno}: counts must be nonnegative, got {c}")
-        if w <= 0.0:
-            raise StructuralError(f"line {lineno}: width must be positive, got {w!r}")
-        if channel is None:
-            channel = row[3]
-        elif row[3] != channel:
-            raise StructuralError(f"line {lineno}: mixed channels {channel!r} and {row[3]!r}")
-        if t_start and abs(t - (t_start[-1] + width[-1])) > 1e-9 * max(w, width[-1]):
-            raise StructuralError(
-                f"line {lineno}: bin starting at {t!r} does not continue the previous bin"
-            )
-        t_start.append(t)
-        width.append(w)
-        counts.append(c)
-    if channel is None:
-        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=2)
-        channel = "gamma"
-    return CountSeries(channel, np.array(t_start), np.array(width), np.array(counts, dtype=np.int64))
+    return _read(path, _count_table, _count_rows)
 
 
 def write_ratio_series(series: RatioSeries, path) -> None:
@@ -89,11 +66,147 @@ def write_ratio_series(series: RatioSeries, path) -> None:
 
 def read_ratio_series(path) -> RatioSeries:
     """Read a ratio series; NaN rows are marked invalid, 0/sigma rows low-count."""
+    return _read(path, _ratio_table, _ratio_rows)
+
+
+def _read(path, fast, rows):
+    """``fast(path)``, or the row reader's verdict where ``fast`` declines
+    (returns None) or fails."""
+    try:
+        series = fast(path)
+    except (ValueError, Warning):  # parse errors, failed checks, undecodable text
+        series = None
+    return rows(path) if series is None else series
+
+
+def _ratio_series(t_start, width, ratio, sigma) -> RatioSeries:
+    ratio = np.asarray(ratio, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    valid = np.isfinite(ratio) & np.isfinite(sigma)
+    low = valid & (ratio == 0.0)
+    return RatioSeries(t_start, width, ratio, sigma, valid, low)
+
+
+# --- numpy pass --------------------------------------------------------------
+
+
+def _load_table(path, header, dtype):
+    """All data rows of ``path`` as one structured array, or None.
+
+    None means the file is not plain enough for this pass: another header
+    line, no data rows, a byte outside ``_PLAIN_BYTES``, or a line longer
+    than the csv module's field size limit (where the row reader fails).
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != RATIO_HEADER:
+        if fh.readline() != ",".join(header) + "\n":
+            return None
+        raw = fh.read().encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES) or not raw.strip(b"\n"):
+        return None
+    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    if np.diff(breaks, prepend=-1, append=len(raw)).max() - 1 > csv.field_size_limit():
+        return None
+    # some numpy releases (1.23 on) parse a non-integer count such as "2.5"
+    # or "1e3" through a float, truncate it and only warn; any warning here
+    # is a decline, so such files go to the row reader, which rejects them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1, encoding="ascii")
+
+
+def _count_table(path) -> CountSeries | None:
+    # CountSeries checks the channel name, finite times, positive widths,
+    # nonnegative counts and contiguity
+    table = _load_table(path, COUNT_HEADER, _COUNT_DTYPE)
+    if table is None:
+        return None
+    channel = table["channel"][0]
+    if not (table["channel"] == channel).all():
+        return None
+    return CountSeries(channel, table["t_start_s"], table["width_s"], table["counts"])
+
+
+def _ratio_table(path) -> RatioSeries | None:
+    # RatioSeries checks finite times and positive widths, not contiguity,
+    # so contiguity is checked here, on the times it has found finite
+    table = _load_table(path, RATIO_HEADER, _RATIO_DTYPE)
+    if table is None:
+        return None
+    series = _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
+    return None if _first_break(series.t_start, series.width) is not None else series
+
+
+# --- row-by-row reader: the authority on rejected files ----------------------
+
+
+def _csv_rows(path, header) -> list[list[str]]:
+    """Every csv row of ``path``, after checking the header row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise StructuralError(f"line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"{path}: not {fh.encoding} text: {exc}") from exc
+    if not rows or rows[0] != header:
         got = ",".join(rows[0]) if rows else "<empty file>"
-        raise StructuralError(f"line 1: expected header {','.join(RATIO_HEADER)!r}, got {got!r}")
+        raise StructuralError(f"line 1: expected header {','.join(header)!r}, got {got!r}")
+    return rows
+
+
+def _check_finite_times(lineno, t, w) -> None:
+    for name, v in (("t_start_s", t), ("width_s", w)):
+        if not math.isfinite(v):
+            raise StructuralError(f"line {lineno}: {name} must be finite, got {v!r}")
+
+
+def _count_rows(path) -> CountSeries:
+    rows = _csv_rows(path, COUNT_HEADER)
+    t_start, width, counts = [], [], []
+    channel = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise StructuralError(f"line {lineno}: expected 4 fields, got {len(row)}")
+        try:
+            t = float(row[0])
+            w = float(row[1])
+        except ValueError as exc:
+            raise StructuralError(f"line {lineno}: bad number: {exc}") from exc
+        _check_finite_times(lineno, t, w)
+        try:
+            c = int(row[2])
+        except ValueError as exc:
+            raise StructuralError(f"line {lineno}: counts must be an integer, got {row[2]!r}") from exc
+        if c < 0:
+            raise StructuralError(f"line {lineno}: counts must be nonnegative, got {c}")
+        if c > _INT64_MAX:
+            raise StructuralError(f"line {lineno}: counts must fit in a 64-bit integer, got {c}")
+        if w <= 0.0:
+            raise StructuralError(f"line {lineno}: width must be positive, got {w!r}")
+        if channel is None:
+            channel = row[3]
+        elif row[3] != channel:
+            raise StructuralError(f"line {lineno}: mixed channels {channel!r} and {row[3]!r}")
+        if t_start and abs(t - (t_start[-1] + width[-1])) > _EDGE_RTOL * max(w, width[-1]):
+            raise StructuralError(
+                f"line {lineno}: bin starting at {t!r} does not continue the previous bin"
+            )
+        t_start.append(t)
+        width.append(w)
+        counts.append(c)
+    if channel is None:
+        # stacklevel 4: the warning names the caller of read_count_series
+        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=4)
+        channel = "gamma"
+    return CountSeries(channel, np.array(t_start), np.array(width), np.array(counts, dtype=np.int64))
+
+
+def _ratio_rows(path) -> RatioSeries:
+    rows = _csv_rows(path, RATIO_HEADER)
     cols = {name: [] for name in RATIO_HEADER}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -104,22 +217,18 @@ def read_ratio_series(path) -> RatioSeries:
             vals = [float(v) for v in row]
         except ValueError as exc:
             raise StructuralError(f"line {lineno}: bad number: {exc}") from exc
+        _check_finite_times(lineno, vals[0], vals[1])
         if vals[1] <= 0.0:
             raise StructuralError(f"line {lineno}: width must be positive, got {vals[1]!r}")
         if cols["t_start_s"]:
             prev_end = cols["t_start_s"][-1] + cols["width_s"][-1]
-            if abs(vals[0] - prev_end) > 1e-9 * max(vals[1], cols["width_s"][-1]):
+            if abs(vals[0] - prev_end) > _EDGE_RTOL * max(vals[1], cols["width_s"][-1]):
                 raise StructuralError(
                     f"line {lineno}: bin starting at {vals[0]!r} does not continue the previous bin"
                 )
         for name, v in zip(RATIO_HEADER, vals):
             cols[name].append(v)
     if not cols["t_start_s"]:
-        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=2)
-    ratio = np.array(cols["ratio"])
-    sigma = np.array(cols["sigma"])
-    valid = np.isfinite(ratio) & np.isfinite(sigma)
-    low = valid & (ratio == 0.0)
-    return RatioSeries(
-        np.array(cols["t_start_s"]), np.array(cols["width_s"]), ratio, sigma, valid, low
-    )
+        # stacklevel 4: the warning names the caller of read_ratio_series
+        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=4)
+    return _ratio_series(np.array(cols["t_start_s"]), np.array(cols["width_s"]), cols["ratio"], cols["sigma"])

@@ -26,6 +26,16 @@ KALPHA_WINDOW_KEV = (19.2, 21.2)
 _EDGE_RTOL = 1e-9
 
 
+def _first_break(t, w) -> int | None:
+    """Index ``i`` of the first bin after which bin ``i + 1`` does not start
+    where bin ``i`` ends (``|t_{i+1} - (t_i + w_i)| > _EDGE_RTOL * max(w_i,
+    w_{i+1})``), or None.  ``t`` and ``w`` must be finite; an edge sum that
+    overflows counts as a break, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        broken = np.abs(t[1:] - (t[:-1] + w[:-1])) > _EDGE_RTOL * np.maximum(w[1:], w[:-1])
+    return int(np.argmax(broken)) if broken.any() else None
+
+
 def _as_readonly(a, dtype):
     out = np.asarray(a, dtype=dtype).copy()
     out.setflags(write=False)
@@ -36,7 +46,7 @@ def _as_readonly(a, dtype):
 class CountSeries:
     """Binned counts of one detector channel.
 
-    Bins are contiguous, non-overlapping and sorted; counts are
+    Bins are finite, contiguous, non-overlapping and sorted; counts are
     nonnegative integers.  ``energy_window`` is metadata only.
     """
 
@@ -54,17 +64,15 @@ class CountSeries:
         c = np.asarray(self.counts)
         if not (t.ndim == w.ndim == c.ndim == 1 and len(t) == len(w) == len(c)):
             raise StructuralError("t_start, width, counts must be 1-d and equal length")
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
+            raise StructuralError("t_start and width must be finite")
         if np.any(w <= 0.0):
             raise StructuralError("bin widths must be positive")
         if np.any(c < 0) or not np.allclose(c, np.round(np.asarray(c, dtype=float))):
             raise StructuralError("counts must be nonnegative integers")
-        if len(t) > 1:
-            gap = t[1:] - (t[:-1] + w[:-1])
-            if np.any(np.abs(gap) > _EDGE_RTOL * np.maximum(w[1:], w[:-1])):
-                bad = int(np.argmax(np.abs(gap) > _EDGE_RTOL * np.maximum(w[1:], w[:-1])))
-                raise StructuralError(
-                    f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}"
-                )
+        bad = _first_break(t, w)
+        if bad is not None:
+            raise StructuralError(f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}")
         c = _as_readonly(c, np.int64)
         object.__setattr__(self, "t_start", t)
         object.__setattr__(self, "width", w)
@@ -93,7 +101,7 @@ class RatioSeries:
     ``valid`` marks bins with a nonzero denominator; ``low_count`` marks
     valid bins whose numerator was zero (their sigma comes from a
     one-count floor on the numerator).  Invalid bins carry NaN ratio and
-    sigma.
+    sigma; bin starts and widths are always finite.
     """
 
     t_start: np.ndarray
@@ -113,6 +121,8 @@ class RatioSeries:
         ns = {len(a) for a in (t, w, r, s, v, lc)}
         if len(ns) != 1:
             raise StructuralError("all RatioSeries arrays must share one length")
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
+            raise StructuralError("t_start and width must be finite")
         if np.any(w <= 0.0):
             raise StructuralError("bin widths must be positive")
         if np.any(s[v] <= 0.0):

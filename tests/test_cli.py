@@ -199,6 +199,23 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"t_start_s,width_s,counts,channel\n0,1,99999999999999999999,gamma\n",
+     "error: line 2: counts must fit in a 64-bit integer, got 99999999999999999999\n"),
+    (b"t_start_s,width_s,counts,channel\n0,inf,3,gamma\n5,1,2,gamma\n",
+     "error: line 2: width_s must be finite, got inf\n"),
+    (b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xd8", "error: "),
+], ids=["count-beyond-int64", "infinite-width", "binary"])
+def test_fit_bad_data_exits_1(tmp_path, capsys, content, message):
+    data = tmp_path / "data.csv"
+    data.write_bytes(content)
+    assert run_cli(["fit", "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
 def test_set_flag_requires_equals(capsys):
     assert run_cli(["estimate", "--set", "justakey"]) == 2
     capsys.readouterr()

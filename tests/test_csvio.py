@@ -1,3 +1,8 @@
+import csv
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +17,8 @@ from mossbeat import (
     write_count_series,
     write_ratio_series,
 )
+from mossbeat import csvio
+from mossbeat.csvio import COUNT_HEADER, RATIO_HEADER
 
 
 @pytest.fixture()
@@ -135,3 +142,292 @@ def test_ratio_header(tmp_path):
     path = tmp_path / "r.csv"
     write_ratio_series(normalize(gamma, kalpha), path)
     assert path.read_text().splitlines()[0] == "t_start_s,width_s,ratio,sigma"
+
+
+# ----------------------------------------- non-finite times, int64, bad bytes
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,inf,3,gamma\n5,1,2,gamma\n", "line 2: width_s must be finite, got inf"),
+    ("0,1,3,gamma\nnan,1,2,gamma\n", "line 3: t_start_s must be finite, got nan"),
+    ("-inf,1,3,gamma\n", "line 2: t_start_s must be finite, got -inf"),
+])
+def test_count_read_rejects_nonfinite_times(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_start_s,width_s,counts,channel\n" + rows)
+    with pytest.raises(StructuralError) as err:
+        read_count_series(path)
+    assert str(err.value) == message
+
+
+def test_ratio_read_rejects_nonfinite_times(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_start_s,width_s,ratio,sigma\n0,infinity,0.5,0.1\n5,1,nan,nan\n")
+    with pytest.raises(StructuralError) as err:
+        read_ratio_series(path)
+    assert str(err.value) == "line 2: width_s must be finite, got inf"
+    # NaN ratio and sigma still mark an invalid bin
+    path.write_text("t_start_s,width_s,ratio,sigma\n0,1,nan,nan\n1,1,0.5,0.1\n")
+    back = read_ratio_series(path)
+    assert back.valid.tolist() == [False, True]
+
+
+def test_count_read_rejects_count_beyond_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"t_start_s,width_s,counts,channel\n0,1,{2**63 - 1},gamma\n1,1,{2**63},gamma\n")
+    with pytest.raises(StructuralError) as err:
+        read_count_series(path)
+    assert str(err.value) == f"line 3: counts must fit in a 64-bit integer, got {2**63}"
+
+
+@pytest.mark.parametrize("read", [read_count_series, read_ratio_series])
+def test_read_rejects_undecodable_file(tmp_path, read):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe\x00\x81binary\x00\n")
+    with pytest.raises(StructuralError):
+        read(path)
+
+
+def test_count_read_reports_csv_field_limit(tmp_path):
+    # np.loadtxt would read the padded count as 3; the csv module stops at
+    # its field size limit, and the reader reports that as a bad line
+    path = tmp_path / "wide.csv"
+    pad = " " * (csv.field_size_limit() + 1)
+    path.write_text(f"t_start_s,width_s,counts,channel\n0,1,3,gamma\n1,1,{pad}4,gamma\n")
+    with pytest.raises(StructuralError) as err:
+        read_count_series(path)
+    assert str(err.value).startswith("line 3: field larger than field limit")
+
+
+def test_empty_read_warns_at_the_caller(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t_start_s,width_s,ratio,sigma\n\n")
+    with pytest.warns(UserWarning, match="no data rows") as record:
+        assert len(read_ratio_series(path)) == 0
+    assert record[0].filename == __file__
+
+
+# --------------------------------------------- numpy pass against row reader
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns or raises, with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(path)
+        except Exception as exc:  # the exact type and message are compared
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_series(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        assert a == b
+        return
+    assert type(a) is type(b)
+    assert getattr(a, "channel", None) == getattr(b, "channel", None)
+    for name in ("t_start", "width", "counts", "ratio", "sigma", "valid", "low_count"):
+        x, y = getattr(a, name, None), getattr(b, name, None)
+        if x is not None or y is not None:
+            # bit for bit: the same dtype, NaN signs and signed zeros
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+_TIME_VALUES = ["nan", "-nan", "inf", "-inf", "infinity", "+Inf", "1_0", " 1.5", "1.5 ", "0x1", "",
+                "1e400", "-0.0", "0", "٣", "1\x1c", "\x1d2", "1\x0b", '"2.5"', "1e-320"]
+_COUNT_VALUES = ["1.0", "+3", "3_0", " 3", "3 ", "-3", "-0", "007", "1e3", str(2**63), str(2**63 - 1),
+                 "99999999999999999999", "nan", '"3"', "", "３", "3\x00", "\x1f3", "3\x1e"]
+_CHANNEL_VALUES = ["gamma", "kalpha", "gammaX", "kalphaXY", " gamma", "gamma ", "gamma\x00", "GAMMA",
+                   '"gamma"', "", "gam\x1cma", "gamma#", "gam,ma"]
+_RATIO_VALUES = ["nan", "-nan", "NaN", "inf", "0", "0.0", "-0.0", "-1", "1_0", " 0.5", '"0.5"', "", "1e-320"]
+_LINES = ["", "   ", "\t", "#comment", "# t_start_s,width_s", "0,1,2", "1,2,3,4,5", "\r", "\x0c"]
+
+
+@st.composite
+def _mutated_file(draw, header, columns, rows):
+    """A valid CSV text (the writer's output for ``rows``) with mutations."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field", "field", "field", "line", "dup", "drop", "comma", "shift",
+                                     "quote", "empty", "header"]))
+        at = draw(st.integers(1, max(1, len(lines) - 1)))
+        if kind == "field" and at < len(lines):
+            col = draw(st.sampled_from(sorted(columns)))
+            fields = lines[at].split(",")
+            if col < len(fields):
+                fields[col] = draw(st.sampled_from(columns[col]))
+                lines[at] = ",".join(fields)
+        elif kind == "line":
+            lines.insert(at, draw(st.sampled_from(_LINES)))
+        elif kind == "dup" and at < len(lines):
+            lines.insert(at, lines[at])
+        elif kind == "drop" and at < len(lines):
+            del lines[at]
+        elif kind == "comma" and at < len(lines):
+            lines[at] += ","
+        elif kind == "shift" and at < len(lines):
+            fields = lines[at].split(",")
+            try:
+                fields[0] = repr(float(fields[0]) * draw(st.sampled_from([1 + 1e-12, 1 + 1e-6])) + 1e-300)
+            except ValueError:
+                pass
+            lines[at] = ",".join(fields)
+        elif kind == "quote" and at < len(lines):
+            fields = lines[at].split(",")
+            col = draw(st.integers(0, len(fields) - 1))
+            fields[col] = f'"{fields[col]}"'
+            lines[at] = ",".join(fields)
+        elif kind == "empty":
+            del lines[1:]
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from([lines[0] + " ", '"t_start_s"' + lines[0][9:], lines[0] + "\r"]))
+    text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    if draw(st.integers(0, 9)) == 0 and len(text) > 40:
+        at = draw(st.integers(35, len(text) - 1))
+        text = text[:at] + "\r" + text[at:]
+    return text
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _count_text(draw):
+    n = draw(st.integers(0, 5))
+    t0 = draw(st.floats(-1e6, 1e6, **_finite))
+    widths = draw(st.lists(st.floats(1e-6, 1e6, **_finite), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 20), min_size=n, max_size=n))
+    channel = draw(st.sampled_from(["gamma", "kalpha"]))
+    rows, t = [], t0
+    for w, c in zip(widths, counts):
+        rows.append([repr(t), repr(w), str(c), channel])
+        t = t + w
+    columns = {0: _TIME_VALUES, 1: _TIME_VALUES, 2: _COUNT_VALUES, 3: _CHANNEL_VALUES}
+    return draw(_mutated_file(COUNT_HEADER, columns, rows))
+
+
+@st.composite
+def _ratio_text(draw):
+    n = draw(st.integers(0, 5))
+    t0 = draw(st.floats(-1e6, 1e6, **_finite))
+    widths = draw(st.lists(st.floats(1e-6, 1e6, **_finite), min_size=n, max_size=n))
+    rows, t = [], t0
+    for w in widths:
+        if draw(st.booleans()):
+            ratio, sigma = "nan", "nan"
+        else:
+            ratio = repr(draw(st.floats(0.0, 1e3, **_finite)))
+            sigma = repr(draw(st.floats(1e-3, 1e3, **_finite)))
+        rows.append([repr(t), repr(w), ratio, sigma])
+        t = t + w
+    columns = {0: _TIME_VALUES, 1: _TIME_VALUES, 2: _RATIO_VALUES, 3: _RATIO_VALUES}
+    return draw(_mutated_file(RATIO_HEADER, columns, rows))
+
+
+_READERS = {"count": (read_count_series, csvio._count_rows), "ratio": (read_ratio_series, csvio._ratio_rows)}
+
+
+def _assert_same_outcome(kind, path):
+    """The public reader and the row reader agree on ``path``."""
+    read, rows_reader = _READERS[kind]
+    got, got_warnings = _outcome(read, path)
+    want, want_warnings = _outcome(rows_reader, path)
+    _assert_same_series(got, want)
+    assert got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("count", "0,1\x1c,3,gamma\n"),  # numpy skips \x1c-\x1f as blanks; float() does not
+    ("count", "0,1,3\x1f,gamma\n"),
+    ("ratio", "0,1,0.5\x1d,0.1\n"),
+    ("count", "0,1,3,gamma\n1,1,4,gamma\x00\n"),  # numpy's str dtypes drop trailing NULs
+    ("count", "0,1,3,gamma\n1,1,4,gammaX\n"),  # a fixed-width str dtype truncates
+    ("count", "0,1,1.0,gamma\n"),
+    ("count", f"0,1,{2**63},gamma\n"),
+    ("count", "0,1,+3,gamma\n1,1, 007 ,gamma\n"),
+    ("count", "0,1,3_0,gamma\n"),
+    ("count", '0,1,"3",gamma\n1,1,4,"gamma"\n'),
+    ("count", "0,1,3,gamma\r\n1,1,4,gamma\r\n"),
+    ("count", "0,1,3,gamma\n\n1,1,4,gamma\n"),
+    ("count", "0,1,3,gamma\n  \n1,1,4,gamma\n"),
+    ("count", "0,1,3,gamma\n1,1,4,gamma"),
+    ("count", "\n\n"),
+    ("ratio", "0,1,nan,-nan\n1,1,0,0.5\n2,1,-0.0,inf\n"),
+    ("ratio", "0,1,0.5,0.1\n1.5,1,0.5,0.1\n"),
+    ("ratio", "0,1,0.5,0\n"),
+    ("ratio", "0,inf,0.5,0.1\ninf,1,0.5,0.1\n"),  # inf - inf in the contiguity test
+    ("count", "0,inf,3,gamma\ninf,1,4,gamma\n"),
+    ("ratio", "1e308,1e308,0.5,0.1\n1e308,1,0.5,0.1\n"),  # the bin end overflows
+    ("count", "1e308,1e308,3,gamma\n1e308,1,4,gamma\n"),
+    ("count", "0,1,2.5,gamma\n"),
+    ("count", "0,1,1e3,gamma\n"),
+])
+def test_reader_matches_row_reader_on_traps(tmp_path, kind, body):
+    path = tmp_path / "trap.csv"
+    path.write_text(",".join(COUNT_HEADER if kind == "count" else RATIO_HEADER) + "\n" + body, newline="")
+    _assert_same_outcome(kind, path)
+
+
+def test_numpy_pass_declines_on_a_loadtxt_warning(tmp_path, monkeypatch):
+    # numpy 1.23 to 1.26 read the count "2.5" as 2 with only a
+    # DeprecationWarning; the reader must not return that truncated table
+    def truncating_loadtxt(fh, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(0.0, 1.0, 2, "gamma")], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "float_count.csv"
+    path.write_text("t_start_s,width_s,counts,channel\n0,1,2.5,gamma\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="^line 2: counts must be an integer, got '2.5'$"):
+            read_count_series(path)
+
+
+@pytest.mark.parametrize("kind, text_strategy", [("count", _count_text()), ("ratio", _ratio_text())])
+def test_reader_matches_row_reader(tmp_path_factory, kind, text_strategy):
+    path = tmp_path_factory.mktemp("mutated") / "series.csv"
+
+    @given(text_strategy)
+    @settings(max_examples=400, deadline=None)
+    def check(text):
+        path.write_text(text, newline="")
+        _assert_same_outcome(kind, path)
+
+    check()
+
+
+def test_large_round_trip_takes_numpy_pass(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(rows_reader):
+        def wrapper(path):
+            calls.append(path)
+            return rows_reader(path)
+        return wrapper
+
+    monkeypatch.setattr(csvio, "_count_rows", counted(csvio._count_rows))
+    monkeypatch.setattr(csvio, "_ratio_rows", counted(csvio._ratio_rows))
+    p = BeatParams(n0=80.0, tau_d=485.7, phi0=0.3)
+    gamma, kalpha = simulate_counts(p, 10.0, 1.2, 72000.0, seed=29)
+    assert len(gamma) == 60000
+    ratio = normalize(gamma, kalpha)
+    assert not ratio.valid.all()  # NaN rows are part of the file
+    for series in (gamma, kalpha):
+        path = tmp_path / f"{series.channel}.csv"
+        write_count_series(series, path)
+        _assert_same_series(read_count_series(path), series)
+    path = tmp_path / "ratio.csv"
+    write_ratio_series(ratio, path)
+    _assert_same_series(read_ratio_series(path), ratio)
+    assert calls == []
+    # a bad row anywhere sends the file to the row reader, which names it
+    lines = path.read_text().splitlines(keepends=True)
+    lines[40000] = lines[40000].replace(",", ",,", 1)
+    path.write_text("".join(lines))
+    with pytest.raises(StructuralError, match="^line 40001: expected 4 fields, got 5$"):
+        read_ratio_series(path)
+    assert calls == [path]

@@ -97,6 +97,18 @@ def test_ratio_series_validation():
     assert np.array_equal(r.edges, [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("t_start, width", [
+    ([0.0, np.inf], [np.inf, 1.0]),  # the gap test cannot see inf - inf
+    ([0.0, np.nan], [1.0, 1.0]),
+    ([0.0, 1.0], [1.0, np.nan]),
+])
+def test_series_reject_nonfinite_times(t_start, width):
+    with pytest.raises(StructuralError, match="finite"):
+        CountSeries("gamma", t_start, width, [3, 4])
+    with pytest.raises(StructuralError, match="finite"):
+        RatioSeries(t_start, width, [1.0, np.nan], [0.5, np.nan], [True, False], [False, False])
+
+
 # --------------------------------------------------- kalpha_bin_expected
 
 
