@@ -140,20 +140,21 @@ def _ratio_table(path) -> RatioSeries | None:
 # --- row-by-row reader: the authority on rejected files ----------------------
 
 
-def _csv_rows(path, header) -> list[list[str]]:
-    """Every csv row of ``path``, after checking the header row."""
+def _csv_rows(path, header) -> list[tuple[int, list[str]]]:
+    """Every csv row of ``path`` with the file line it ends on, after
+    checking the header row; a quoted field may span lines."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise StructuralError(f"line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise StructuralError(f"{path}: not {fh.encoding} text: {exc}") from exc
-    if not rows or rows[0] != header:
-        got = ",".join(rows[0]) if rows else "<empty file>"
+    if not rows or rows[0][1] != header:
+        got = ",".join(rows[0][1]) if rows else "<empty file>"
         raise StructuralError(f"line 1: expected header {','.join(header)!r}, got {got!r}")
-    return rows
+    return rows[1:]
 
 
 def _check_finite_times(lineno, t, w) -> None:
@@ -166,7 +167,7 @@ def _count_rows(path) -> CountSeries:
     rows = _csv_rows(path, COUNT_HEADER)
     t_start, width, counts = [], [], []
     channel = None
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 4:
@@ -208,7 +209,7 @@ def _count_rows(path) -> CountSeries:
 def _ratio_rows(path) -> RatioSeries:
     rows = _csv_rows(path, RATIO_HEADER)
     cols = {name: [] for name in RATIO_HEADER}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 4:

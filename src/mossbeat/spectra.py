@@ -36,6 +36,17 @@ def _first_break(t, w) -> int | None:
     return int(np.argmax(broken)) if broken.any() else None
 
 
+def _int64_counts(c: np.ndarray) -> bool:
+    """Whether every count is a nonnegative integer below 2^63, exactly: a
+    float count must be integral (``3.0000001`` is not) and finite."""
+    if c.dtype.kind == "f":
+        # 2^63 is exact as a float, and every float below it casts exactly
+        return bool(np.all((c >= 0) & (c < 2.0**63) & (c == np.floor(c))))
+    if c.dtype.kind == "u":
+        return bool(np.all(c <= np.iinfo(np.int64).max))
+    return c.dtype.kind in "bi" and bool(np.all(c >= 0))
+
+
 def _as_readonly(a, dtype):
     out = np.asarray(a, dtype=dtype).copy()
     out.setflags(write=False)
@@ -68,8 +79,8 @@ class CountSeries:
             raise StructuralError("t_start and width must be finite")
         if np.any(w <= 0.0):
             raise StructuralError("bin widths must be positive")
-        if np.any(c < 0) or not np.allclose(c, np.round(np.asarray(c, dtype=float))):
-            raise StructuralError("counts must be nonnegative integers")
+        if not _int64_counts(c):
+            raise StructuralError("counts must be nonnegative integers that fit in a 64-bit integer")
         bad = _first_break(t, w)
         if bad is not None:
             raise StructuralError(f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}")
@@ -145,7 +156,9 @@ def kalpha_bin_expected(scale: float, tau0: float, t_pump: float, edges) -> np.n
 
     The instantaneous rate scale * exp(-t/tau0) accumulated over a pump
     window of t_pump and integrated across each bin has the closed form
-    scale * tau0^2 (1 - e^(-t_pump/tau0)) (e^(-a/tau0) - e^(-b/tau0)).
+    scale * tau0^2 (1 - e^(-t_pump/tau0)) (e^(-a/tau0) - e^(-b/tau0)),
+    evaluated with ``expm1`` for both differences, so that each factor
+    keeps its relative precision however short the window or the bin.
     """
     if not (np.isfinite(scale) and scale >= 0.0):
         raise DomainError(f"scale must be nonnegative, got {scale!r}")
@@ -153,8 +166,8 @@ def kalpha_bin_expected(scale: float, tau0: float, t_pump: float, edges) -> np.n
         raise DomainError("tau0 and t_pump must be positive")
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
-    pump = tau0 * (1.0 - np.exp(-t_pump / tau0))
-    return scale * pump * tau0 * (np.exp(-a / tau0) - np.exp(-b / tau0))
+    pump = tau0 * -np.expm1(-t_pump / tau0)
+    return scale * pump * tau0 * np.exp(-a / tau0) * -np.expm1(-(b - a) / tau0)
 
 
 def simulate_counts(

@@ -343,8 +343,8 @@ def test_bin_expected_counts_vs_quadrature_of_accumulated():
 
 
 def test_bin_expected_counts_short_lifetime_long_beat():
-    # tau0 << tau_d: a panel capped only at a quarter beat period would
-    # span hundreds of decay lengths (oracle error 7.6e-8)
+    # tau0 << tau_d: a panel capped only at the beat period would span
+    # hundreds of decay lengths (oracle error 7.6e-8 with a quarter-period cap)
     p = BeatParams(n0=1.0, tau0=10.0, tau_d=1e6, phi0=0.3, t_pump=3600.0)
     got = bin_expected_counts(p, [0.0, 1800.0])[0]
     assert got == pytest.approx(_midpoint_bin_oracle(p, 0.0, 1800.0), rel=1e-6)
@@ -366,6 +366,98 @@ def test_phase_columns_reproduce_bin_expected_counts():
             assert np.max(np.abs(got - ref) / k) <= 1e-12
             if np.min(ref / k) >= 0.1:
                 assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def _direct_bin_counts(p, edges, kernel="cos2"):
+    """Unit-n0 counts bin by bin, each bin's overlap trapezoid integrated on
+    its own (rising edge, plateau, falling edge) with 20-point
+    Gauss-Legendre panels in u no wider than a sixteenth of a beat period,
+    a quarter of sqrt(tau0) and a quarter of the local decay length."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        lvl, e = min(b - a, p.t_pump), b + p.t_pump
+        total = 0.0
+        for lo, hi, weight in (
+            (a, a + lvl, lambda t: t - a),
+            (a + lvl, e - lvl, lambda t: np.full_like(t, lvl)),
+            (e - lvl, e, lambda t: e - t),
+        ):
+            if hi <= lo:
+                continue
+            u_lo, u_hi = math.sqrt(lo), math.sqrt(hi)
+            h_max = min(math.pi * math.sqrt(p.tau_d) / 16, math.sqrt(p.tau0) / 4, p.tau0 / (8 * u_hi))
+            n = math.ceil((u_hi - u_lo) / h_max)
+            h = (u_hi - u_lo) / n
+            u = u_lo + h * (np.arange(n)[:, None] + (nodes + 1.0) / 2.0)
+            x = u / math.sqrt(p.tau_d)
+            mod = np.cos(x + p.phi0) ** 2 if kernel == "cos2" else bessel_j0(x) ** 2
+            t = u * u
+            total += float(np.sum(weights * h / 2.0 * weight(t) * np.exp(-t / p.tau0) * mod * 2.0 * u))
+        out.append(total)
+    return np.array(out)
+
+
+_IRREGULAR = np.concatenate([[300.0], 300.0 + np.cumsum(np.random.default_rng(3).uniform(2.0, 90.0, 60))])
+
+
+@pytest.mark.parametrize(
+    "tau0, td, phi0, t_pump, edges, kernel",
+    [
+        # t_pump a multiple of the width: criterion 11's bins
+        (4857.0, 485.7, 0.3, 3600.0, np.linspace(0.0, 14400.0, 601), "cos2"),
+        # a fast beat: many panels per piece
+        (4857.0, 1e-3, 1.1, 3600.0, 7000.0 + 24.0 * np.arange(21), "cos2"),
+        # t_pump not a multiple of the width
+        (300.0, 40.0, 2.0, 100.0, 7.0 * np.arange(81), "cos2"),
+        # width longer than t_pump
+        (1000.0, 5e4, 0.7, 12.0, 50.0 * np.arange(61), "cos2"),
+        # irregular edges, both kernels
+        (2000.0, 250.0, 0.4, 500.0, _IRREGULAR, "cos2"),
+        (2000.0, 250.0, 0.0, 500.0, _IRREGULAR, "j0sq"),
+        # tau0 << tau_d: the decay caps bind
+        (10.0, 1e6, 0.3, 3600.0, 60.0 * np.arange(101), "cos2"),
+    ],
+)
+def test_bin_model_matches_bin_by_bin_quadrature(tau0, td, phi0, t_pump, edges, kernel):
+    # the model integrates each piece between the union of all bins'
+    # breakpoints once and builds every bin from the pieces; this
+    # reference integrates every bin on its own
+    p = BeatParams(n0=1.0, tau0=tau0, tau_d=td, phi0=phi0, t_pump=t_pump)
+    got = _BinModel(edges, tau0, t_pump).unit_counts(p, kernel)
+    ref = _direct_bin_counts(p, edges, kernel)
+    k = kalpha_bin_expected(1.0, tau0, t_pump, edges)
+    live = k >= 1e-3 * k.max()
+    assert np.max(np.abs(got - ref)[live] / k[live]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau0, t_pump, width, t_first, n_bins",
+    [
+        # out to 60 tau0: a forward cumulative sum of the plateau loses
+        # e^(t/tau0) of its relative precision (0.95 at t = 50 tau0 here)
+        (100.0, 3600.0, 10.0, 0.0, 600),
+        (4857.0, 3600.0, 24.0, 0.0, 12143),
+        # short bins late in the decay: a piece's offsets taken from X_k
+        # instead of the rounded sqrt(X_k)^2 it is integrated from (1e-12)
+        (100.0, 2.0, 0.1, 5000.0, 2000),
+        # b + t_pump not representable: falling edges measured from the
+        # rounded sum (8e-13)
+        (1.29e4, 2.187, 0.0552, 18000.0, 2000),
+        # a plateau far shorter than the tail beyond it: suffix sums
+        # without their rounding error (6e-14)
+        (4857.0, 10.0, 1.0, 0.0, 2000),
+    ],
+)
+def test_bin_expected_counts_decay_tail_matches_closed_form(tau0, t_pump, width, t_first, n_bins):
+    # at tau_d = 1e300 and phi0 = 0, cos^2 is exactly 1 and the binned model
+    # is the closed form of kalpha_bin_expected (itself good to about 4e-15
+    # here, from rounding exp's argument)
+    edges = t_first + width * np.arange(n_bins + 1)
+    p = BeatParams(n0=1.0, tau0=tau0, tau_d=1e300, phi0=0.0, t_pump=t_pump)
+    got = bin_expected_counts(p, edges)
+    ref = kalpha_bin_expected(1.0, tau0, t_pump, edges)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
 
 def test_bin_expected_counts_phase_periodicity():

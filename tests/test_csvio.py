@@ -89,6 +89,16 @@ def test_count_read_names_offending_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_count_read_names_file_line_after_quoted_newline(tmp_path):
+    # the quoted channel of the first row spans lines 2-3, so the bad count
+    # sits on file line 4, in the third csv record
+    path = tmp_path / "multiline.csv"
+    path.write_text('t_start_s,width_s,counts,channel\n0,1,3,"gam\nma"\n1,1,oops,gamma\n')
+    with pytest.raises(StructuralError) as err:
+        read_count_series(path)
+    assert str(err.value).startswith("line 4: ")
+
+
 def test_count_read_rejects_mixed_channels(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

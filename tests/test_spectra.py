@@ -1,4 +1,6 @@
+from decimal import Decimal, localcontext
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,16 @@ def test_count_series_validation():
         CountSeries(channel="gamma", t_start=[0.0], width=[1.0], counts=[-1])
     with pytest.raises(StructuralError):
         CountSeries(channel="gamma", t_start=[0.0], width=[1.0], counts=[1.5])
+
+
+@pytest.mark.parametrize("count", [3.0000001, 1e19])
+def test_count_series_rejects_inexact_float_counts(count):
+    # neither may be stored: 3.0000001 is no integer, and 1e19 would wrap
+    # to a negative int64 with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError):
+            CountSeries(channel="gamma", t_start=[0.0], width=[1.0], counts=[count])
 
 
 def test_count_series_contiguity():
@@ -123,6 +135,29 @@ def test_kalpha_bin_expected_against_double_integral():
         overlap = np.clip(np.minimum(b, tau) - np.maximum(a, tau - tp), 0.0, None)
         ref = float((scale * np.exp(-tau / tau0) * overlap).sum() * h)
         assert got[i] == pytest.approx(ref, rel=1e-7)
+
+
+def _decimal_kalpha(tau0, t_pump, a, b):
+    """The closed form in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t0 = Decimal(tau0)
+
+        def decay(t):
+            return (-Decimal(t) / t0).exp()
+
+        return float(t0 * (1 - decay(t_pump)) * t0 * (decay(a) - decay(b)))
+
+
+@pytest.mark.parametrize("width, horizon", [(1.2, 72000.0), (24.0, 14400.0)])
+def test_kalpha_bin_expected_against_decimal(width, horizon):
+    # both differences in expm1 form: 1 - e^(-x) and e^(-a/tau0) - e^(-b/tau0)
+    # written directly lose up to 7e-12 on 1.2-s bins
+    edges = width * np.arange(int(round(horizon / width)) + 1)
+    got = kalpha_bin_expected(1.0, 4857.0, 3600.0, edges)
+    idx = np.arange(0, len(got), max(1, len(got) // 600))
+    ref = np.array([_decimal_kalpha(4857.0, 3600.0, edges[i], edges[i + 1]) for i in idx])
+    assert np.max(np.abs(got[idx] / ref - 1.0)) <= 4e-15
 
 
 def test_kalpha_bin_expected_validation():
