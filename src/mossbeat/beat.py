@@ -271,13 +271,13 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
     well conditioned at late times where the envelope has decayed below
     the resolution of the background term.  The modulation is even about
     each of its zeros, so the root of a symmetric difference quotient is
-    the minimum itself; bracketing root-finding on that quotient locates
-    it to machine precision without using the closed-form zero location,
-    leaving the quadratic spacing law as an independent check.
+    the minimum itself; bisection on the sign of that quotient, run until
+    its bracket is two adjacent doubles, locates it to machine precision
+    without using the closed-form zero location, leaving the quadratic
+    spacing law as an independent check.
     """
     if n < 1:
         raise DomainError("need n >= 1 minima")
-    import scipy.optimize  # here, not at module level, so `import mossbeat` loads no scipy
 
     def mod_of_u(u):
         return _modulation(p.tau_d * u * u, p, "cos2")
@@ -294,15 +294,27 @@ def beat_minima(p: BeatParams, n: int = 6) -> np.ndarray:
         h = min(0.05, 0.45 * u_center)
         u_lo = max(u_center - 0.4 * np.pi, h)
         u_hi = u_center + 0.4 * np.pi
-        u_star = scipy.optimize.brentq(
-            lambda u: mod_of_u(u + h) - mod_of_u(u - h),
-            u_lo,
-            u_hi,
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
-        )
+        u_star = _bisect(lambda u: mod_of_u(u + h) - mod_of_u(u - h), u_lo, u_hi)
         out.append(p.tau_d * u_star**2)
     return np.array(out)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Zero of f in [lo, hi], where f changes sign, by bisection on the sign
+    of f until the bracket is two adjacent doubles; returns the end where
+    |f| is smaller."""
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,11 @@ _COMMANDS = {
 }
 
 
+# the subcommands that can print JSON instead of CSV; simulate and normalize
+# write CSV, fit writes JSON
+_FORMATTED = ("estimate", "bragg", "fieldmap", "flm", "beat")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mossbeat",
@@ -254,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config path (packaged defaults if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output path (stdout if omitted)" if name != "simulate" else "output path prefix")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name in _FORMATTED:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key by dotted path, JSON-parsed value")
         if name == "fit":

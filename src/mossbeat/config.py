@@ -8,7 +8,6 @@ objects; value errors surface from the domain types themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from importlib import resources
 
@@ -40,7 +39,7 @@ _SCHEMA = {
     "seed": None,
     "fieldmap": {"center": None, "extent_cells": None, "n": None},
     "beat_grid": {"t_start_s": None, "t_stop_s": None, "n": None},
-    "fit": {"free_params": None, "bounds": None, "max_iters": None, "tolerance": None},
+    "fit": {"free_params": None, "bounds": None},
     "outputs": {"gamma_csv": None, "kalpha_csv": None},
 }
 

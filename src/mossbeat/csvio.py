@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .errors import StructuralError
-from .spectra import _EDGE_RTOL, CountSeries, RatioSeries, _first_break
+from .spectra import _EDGE_RTOL, CountSeries, RatioSeries
 
 COUNT_HEADER = ["t_start_s", "width_s", "counts", "channel"]
 RATIO_HEADER = ["t_start_s", "width_s", "ratio", "sigma"]
@@ -128,13 +128,11 @@ def _count_table(path) -> CountSeries | None:
 
 
 def _ratio_table(path) -> RatioSeries | None:
-    # RatioSeries checks finite times and positive widths, not contiguity,
-    # so contiguity is checked here, on the times it has found finite
+    # RatioSeries checks finite times, positive widths and contiguity
     table = _load_table(path, RATIO_HEADER, _RATIO_DTYPE)
     if table is None:
         return None
-    series = _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
-    return None if _first_break(series.t_start, series.width) is not None else series
+    return _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
 
 
 # --- row-by-row reader: the authority on rejected files ----------------------

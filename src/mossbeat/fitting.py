@@ -2,20 +2,17 @@
 
 The objective is chi2 = sum(((observed - model) / sigma)^2) with the
 model integrated over each bin, exactly how the simulator generates
-expectations.  The scale n0 and the background enter the model
-linearly, so the fit uses variable projection (Golub & Pereyra, SIAM J.
-Numer. Anal. 10, 1973): each evaluation at a candidate (tau_d, phi0)
-solves the free linear parameters exactly by bounded weighted least
-squares, and Nelder-Mead searches only the free nonlinear ones.
-
-The phase is carried one step further.  cos^2(x + phi0) = 1/2 +
-cos(2 phi0) cos(2x) / 2 - sin(2 phi0) sin(2x) / 2, so at a fixed tau_d
-the binned model is n0 (K/2 + cos(2 phi0) D - sin(2 phi0) S), and one
-panel pass gives the three columns.  From their QR factor the best
-phi0, n0 and background cost O(1) per trial phase.  The fit screens
-this exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which
-finds the one deep basin of the beat landscape without a multistart,
-and polishes the best grid point with Nelder-Mead on the full model.
+expectations.  cos^2(x + phi0) = 1/2 + cos(2 phi0) cos(2x) / 2 -
+sin(2 phi0) sin(2x) / 2, so at a fixed tau_d the binned model is
+n0 (K/2 + cos(2 phi0) D - sin(2 phi0) S) + background B, and one panel
+pass gives the columns.  Everything but tau_d is solved at each tau_d
+by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+1973): from the QR factor of the columns, the best n0 and background
+(bounded weighted least squares) cost O(1) per trial phase, and phi0
+is zoomed in on by comparing trial phases.  The fit screens this
+exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which finds
+the one deep basin of the beat landscape without a multistart, and
+polishes the best grid point by golden section in log10 tau_d.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -42,14 +39,15 @@ _DEFAULT_BOUNDS = {
     "phi0": (0.0, np.pi),
     "background": (0.0, 1e9),
 }
-# screen: tau_d grid points per decade; trial phases per phase range before
-# the golden-section refinement.  That refinement stops at _PHASE_XTOL rad,
-# far inside the polish's first simplex, while its chi2 comparisons are still
-# decided by more than rounding, so that data rescaled by a constant give the
-# polish the same start bit for bit.
+# screen: tau_d grid points per decade; polish: golden-section tolerance in
+# log10 tau_d.  Phase: trial phases per level and zoom levels, which end at
+# a step of about 1.5e-9 rad (see _zoom_min).  The chi2 comparisons of both
+# searches are decided by more than rounding on noiseless data, so that data
+# rescaled by a constant give the same tau_d and phi0 bit for bit.
 _GRID_PER_DECADE = 4
-_PHASE_TRIALS = 32
-_PHASE_XTOL = 1e-6
+_TAU_XTOL = 1e-8
+_PHASE_TRIALS = 64
+_PHASE_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,11 @@ class FitConfig:
     ``base`` supplies every parameter that is not free (tau0 and t_pump
     are never fitted).  Free parameters need no start: tau_d comes from
     a grid over its bounds, phi0, n0 and background are solved at each
-    grid point.  ``max_iters`` and ``tolerance`` control the Nelder-Mead
-    polish.
+    tau_d the fit evaluates.
     """
 
     free_params: tuple[str, ...] = ("n0", "tau_d", "phi0")
     bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    max_iters: int = 2000
-    tolerance: float = 1e-9
     base: BeatParams = field(default_factory=BeatParams)
 
     def __post_init__(self):
@@ -83,10 +78,6 @@ class FitConfig:
                 raise DomainError(f"bounds given for unknown parameter {name!r}")
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise DomainError(f"bounds for {name} must be finite with lo < hi, got ({lo!r}, {hi!r})")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
         object.__setattr__(self, "free_params", free)
         object.__setattr__(self, "bounds", merged)
 
@@ -106,15 +97,15 @@ class FitStart:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a multistart fit.
+    """Outcome of ``fit_beat``.
 
     ``covariance`` rows/columns follow ``free_names`` (natural units,
     Gauss-Newton (J^T J)^-1 of the weighted residuals at the optimum).
-    ``converged`` is the status of the final polish.  ``message``
-    carries bound-contact notes and, if the polish stopped early, its
-    status.  ``evaluations`` counts model evaluations (panel passes)
-    over the whole fit; ``starts`` holds one ``FitStart`` for the
-    tau_d screen (empty when no nonlinear parameter is free).
+    ``converged`` says that ``chi2`` is finite.  ``message`` carries
+    bound-contact notes, or "ok".  ``evaluations`` counts model
+    evaluations (panel passes) over the whole fit; ``starts`` holds one
+    ``FitStart`` for the tau_d screen (empty when neither tau_d nor phi0
+    is free).
     """
 
     params: BeatParams
@@ -142,8 +133,8 @@ class FitResult:
 
 
 class _WeightedSeries:
-    """The kept bins of a series divided by sigma, and the model columns
-    on the same footing; counts model evaluations."""
+    """The kept bins of a series divided by sigma, and the model's phase
+    columns on the same footing; counts model evaluations."""
 
     def __init__(self, series, tau0: float, t_pump: float):
         edges = np.asarray(series.edges, dtype=float)
@@ -171,22 +162,13 @@ class _WeightedSeries:
         self.model = _BinModel(edges, tau0, t_pump, reuse=True)
         self.evaluations = 0
 
-    def columns(self, p: BeatParams) -> np.ndarray:
-        """(bins, 2) model columns of n0 and background at p's tau_d and phi0."""
-        self.evaluations += 1
-        unit = self.model.unit_counts(p)[self.keep]
-        return np.column_stack([unit / self.denom / self.sig, self.background])
-
-    def phase_columns(self, tau_d: float) -> np.ndarray:
-        """(bins, 3) columns K/2, D and S of the unit-n0 model at tau_d."""
+    def columns(self, tau_d: float) -> np.ndarray:
+        """(bins, 4) columns K/2, D and S of the unit-n0 model at tau_d, and
+        the unit background."""
         self.evaluations += 1
         d, s = self.model.phase_columns(tau_d)
-        return np.column_stack([self.half_k, d[self.keep] / self.denom / self.sig, s[self.keep] / self.denom / self.sig])
-
-
-def _residual(y: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Weighted residuals (observed - model) / sigma for linear coefficients coef."""
-    return y - cols @ coef
+        return np.column_stack([self.half_k, d[self.keep] / self.denom / self.sig,
+                                s[self.keep] / self.denom / self.sig, self.background])
 
 
 def _bounded_lstsq(a, c, t, lin, coef, lo, hi):
@@ -249,151 +231,154 @@ def chi2(series, params: BeatParams) -> float:
 
 
 def _golden_min(f, a, b, xtol):
-    """Golden-section minimum of f on [a, b], elementwise over arrays.
-
-    It only compares values of f.  Returns the abscissae and their
-    values.
-    """
+    """Golden-section minimum of f on [a, b] to a bracket of xtol, comparing
+    values of f only; returns the best inner point and its value."""
     r = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = f(c), f(d)
-    width = float(np.max(b - a))
-    steps = int(np.ceil(np.log(xtol / width) / np.log(r))) if width > xtol else 0
-    for _ in range(steps):
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - r * (b - a), a + r * (b - a))
-        fnew = f(new)
-        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
-                        np.where(left, fnew, fd), np.where(left, fc, fnew))
-    left = fc <= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+    while b - a > xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _zoom_min(f, rows, lo, hi, periodic):
+    """Phase minimising f(phases) in each of ``rows`` rows, by comparison only.
+
+    The first level tries 64 phases over the range: one period pi from
+    ``lo`` when ``periodic`` (the phase is then unbounded), else [lo, hi]
+    with both ends.  Each further level tries 64 phases from the best one
+    minus the last step, 1/32 of that step apart, clipped to [lo, hi]
+    unless periodic; 6 levels end at a step of pi / 64 / 32**5, about
+    1.5e-9 rad.  Returns the phases and their values.
+    """
+    if periodic:
+        step = np.pi / _PHASE_TRIALS
+        trials = lo + step * np.arange(_PHASE_TRIALS)
+    else:
+        step = (hi - lo) / (_PHASE_TRIALS - 1)
+        trials = np.linspace(lo, hi, _PHASE_TRIALS)
+    trials = np.broadcast_to(trials, (rows, _PHASE_TRIALS))
+    half = _PHASE_TRIALS // 2
+    for level in range(_PHASE_LEVELS):
+        if level:
+            step = step / half
+            trials = best[:, None] + step * np.arange(-half, half)
+            if not periodic:
+                trials = np.clip(trials, lo, hi)
+        values = f(trials)
+        pick = np.arange(rows), np.argmin(values, axis=1)
+        best, best_value = trials[pick], values[pick]
+    return best, best_value
+
+
+def _wrap(phase: float, lo: float, periodic: bool) -> float:
+    """phase reduced to [lo, lo + pi) when periodic."""
+    return float(lo + (phase - lo) % np.pi) if periodic else phase
 
 
 def fit_beat(series, cfg: FitConfig) -> FitResult:
     """Best fit of chi2 over the free parameters.
 
-    Deterministic for fixed inputs.  Free n0 and background are solved
-    exactly at every evaluation.  A free tau_d is screened on a grid of
-    4 log-spaced points per decade over its bounds, both ends included;
-    at each grid point one panel pass gives the columns K/2, D and S,
-    and the best phi0 (with n0 and background) follows from their QR
-    factor, at O(1) cost per trial phase: 32 trial phases over the
-    phase range, then golden section to 1e-6 rad.  Ties within 1e-9
-    relative chi2 break toward lower tau_d.  Nelder-Mead then polishes
-    (log10 tau_d, phi0) on the full model from the best grid point with
-    xatol 1e-8 and fatol ``cfg.tolerance`` relative.  When the phi0 bounds span at least pi,
-    the period of the model, the phase is searched unbounded and
-    reported in [lo, lo + pi); narrower bounds are enforced.  The
-    covariance is Gauss-Newton: exact columns for the linear
-    parameters, central differences for tau_d and phi0.
+    Deterministic for fixed inputs.  Every evaluation is one panel pass
+    at one tau_d, which gives the columns K/2, D and S; free phi0, n0
+    and background then follow from their QR factor: n0 and background
+    exactly, phi0 by ``_zoom_min`` to about 1.5e-9 rad.  A free tau_d is
+    screened on a grid of 4 log-spaced points per decade over its
+    bounds, both ends included; ties within 1e-9 relative chi2 break
+    toward lower tau_d.  Golden
+    section then polishes log10 tau_d between the best grid point's
+    neighbours to 1e-8, and the grid point is kept unless the search
+    does better, so a fit that ends on a bound returns the bound
+    exactly.  When the phi0 bounds span at least pi, the period of the
+    model, the phase is searched unbounded and reported in
+    [lo, lo + pi); narrower bounds are enforced.  The covariance is
+    Gauss-Newton: exact columns for n0, background and phi0, a central
+    difference for tau_d.
     """
-    import scipy.optimize  # here, not at module level, so `import mossbeat` loads no scipy
-
     free = cfg.free_params
     base = cfg.base
     bounds = cfg.bounds
+    if "tau_d" in free and bounds["tau_d"][0] <= 0.0:
+        raise DomainError("tau_d lower bound must be positive")
     data = _WeightedSeries(series, base.tau0, base.t_pump)
     lin = [i for i, name in enumerate(_LINEAR) if name in free]
     lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
-    nonlin = [name for name in ("tau_d", "phi0") if name in free]
-    if "tau_d" in free and bounds["tau_d"][0] <= 0.0:
-        raise DomainError("tau_d lower bound must be positive")
+    coef = (base.n0, base.background)
     phase_lo, phase_hi = bounds["phi0"]
-    periodic = phase_hi - phase_lo >= np.pi
-    z_bounds = []
-    for name in nonlin:
-        if name == "tau_d":
-            z_bounds.append((np.log10(bounds[name][0]), np.log10(bounds[name][1])))
-        else:
-            z_bounds.append((-np.inf, np.inf) if periodic else (phase_lo, phase_hi))
+    periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
-    def project(z):
-        """Params with the linear ones solved at nonlinear point z; columns; residuals."""
-        p = replace(base, **{n: float(10.0**v if n == "tau_d" else v) for n, v in zip(nonlin, z)})
-        cols = data.columns(p)
-        n0, background, _ = _bounded_lstsq(cols[:, 0], cols[:, 1], data.y, lin, (p.n0, p.background), lin_lo, lin_hi)
-        coef = np.array([n0, background])
-        return replace(p, n0=float(n0), background=float(background)), cols, _residual(data.y, cols, coef)
+    def evaluate(tau):
+        """The model columns at tau_d, and the QR pieces of the profile:
+        chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
+        Residuals in this 4-d basis keep chi2's relative precision, which
+        the normal equations lose where the columns are nearly parallel
+        (a slow beat, with D close to K/2)."""
+        cols = data.columns(float(tau))
+        q, r_cols = np.linalg.qr(cols)
+        y_proj = q.T @ data.y
+        rest = data.y - q @ y_proj
+        return cols, (r_cols, y_proj, np.dot(rest, rest))
 
-    def objective(z) -> float:
-        r = project(z)[2]
-        return float(np.dot(r, r))
-
-    starts = []
-    z = np.empty(0)
-    polish = None
-    if nonlin:
-        # screen: the exact-phase profile chi2(tau_d) on a log grid
-        if "tau_d" in free:
-            z_lo, z_hi = z_bounds[0]
-            z_grid = np.linspace(z_lo, z_hi, int(np.ceil(_GRID_PER_DECADE * (z_hi - z_lo))) + 1)
-            taus = 10.0**z_grid
-        else:
-            taus = np.array([base.tau_d])
-        # per grid point, QR of the columns K/2, D, S and background:
-        # chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
-        # Residuals in this 4-d basis keep chi2's relative precision, which
-        # the normal equations lose where the columns are nearly parallel
-        # (a slow beat, with D close to K/2).
-        r_cols = np.empty((len(taus), 4, 4))
-        y_proj = np.empty((len(taus), 4))
-        rest = np.empty(len(taus))
-        for g, tau in enumerate(taus):
-            q, r_cols[g] = np.linalg.qr(np.column_stack([data.phase_columns(float(tau)), data.background]))
-            y_proj[g] = q.T @ data.y
-            r = data.y - q @ y_proj[g]
-            rest[g] = np.dot(r, r)
-        coef = (base.n0, base.background)
+    def solve(pieces):
+        """Best phase and its profile chi2 at each tau_d, from its QR pieces."""
+        r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
 
         def profile(phases):
-            """chi2 at each (grid point, phase), linear parameters solved."""
             v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
             model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
             ss = _bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lin_lo, lin_hi)[2]
             return ss + rest[:, None]
 
-        if "phi0" in free:
-            if periodic:
-                trials = phase_lo + np.pi * np.arange(_PHASE_TRIALS) / _PHASE_TRIALS
-            else:
-                trials = np.linspace(phase_lo, phase_hi, _PHASE_TRIALS)
-            step = trials[1] - trials[0]
-            grid_trials = np.broadcast_to(trials, (len(taus), _PHASE_TRIALS))
-            start = trials[np.argmin(profile(grid_trials), axis=1)][:, None]
-            lo, hi = start - step, start + step
-            if not periodic:
-                lo, hi = np.maximum(lo, phase_lo), np.minimum(hi, phase_hi)
-            phases, chis = _golden_min(profile, lo, hi, _PHASE_XTOL)
-            phases, chis = phases[:, 0], chis[:, 0]
-        else:
-            phases = np.full(len(taus), base.phi0)
-            chis = profile(phases[:, None])[:, 0]
-        best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
-        phase = float(phases[best])
-        if "phi0" in free and periodic:
-            phase = phase_lo + (phase - phase_lo) % np.pi
-        starts.append(FitStart(float(taus[best]), phase, float(chis[best]), data.evaluations, True,
-                               f"best of {len(taus)} tau_d grid points"))
-        z0 = np.array(([z_grid[best]] if "tau_d" in free else []) + ([phases[best]] if "phi0" in free else []))
-        options = {"maxiter": cfg.max_iters, "maxfev": 4 * cfg.max_iters, "xatol": 1e-8,
-                   "fatol": cfg.tolerance * max(float(chis[best]), 1.0), "adaptive": False}
-        polish = scipy.optimize.minimize(objective, z0, method="Nelder-Mead", bounds=z_bounds, options=options)
-        z = polish.x
+        if "phi0" not in free:
+            return np.full(len(rest), base.phi0), profile(np.full((len(rest), 1), base.phi0))[:, 0]
+        return _zoom_min(profile, len(rest), phase_lo, phase_hi, periodic)
 
-    params, cols, r = project(z)
+    tau, starts = base.tau_d, []
+    if "tau_d" in free or "phi0" in free:
+        # screen: the exact-phase profile chi2(tau_d) on a log grid
+        if "tau_d" in free:
+            z_lo, z_hi = np.log10(bounds["tau_d"])
+            z_grid = np.linspace(z_lo, z_hi, int(np.ceil(_GRID_PER_DECADE * (z_hi - z_lo))) + 1)
+            taus = 10.0**z_grid
+            taus[[0, -1]] = bounds["tau_d"]
+        else:
+            taus = np.array([base.tau_d])
+        phases, chis = solve([evaluate(t)[1] for t in taus])
+        best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
+        tau = float(taus[best])
+        starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
+                               data.evaluations, True, f"best of {len(taus)} tau_d grid points"))
+        if "tau_d" in free:
+            z, chi = _golden_min(lambda z: solve([evaluate(10.0**z)[1]])[1][0],
+                                 z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)], _TAU_XTOL)
+            if chi < chis[best]:
+                tau = 10.0**z
+
+    cols, pieces = evaluate(tau)
+    phase = float(solve([pieces])[0][0])
+    c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
+    unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
+    n0, background, _ = _bounded_lstsq(unit, cols[:, 3], data.y, lin, coef, lin_lo, lin_hi)
+    n0, background = float(n0), float(background)
+    r = data.y - n0 * unit - background * cols[:, 3]
     best_chi2 = float(np.dot(r, r))
-    coef = np.array([params.n0, params.background])
-    jac = []
-    for name in free:
-        if name in _LINEAR:
-            jac.append(-cols[:, _LINEAR.index(name)])
-            continue
-        h = 1e-4 * params.tau_d if name == "tau_d" else 1e-4
-        up = data.columns(replace(params, **{name: getattr(params, name) + h}))
-        down = data.columns(replace(params, **{name: getattr(params, name) - h}))
-        jac.append((_residual(data.y, up, coef) - _residual(data.y, down, coef)) / (2.0 * h))
-    jac = np.column_stack(jac)
+    params = replace(base, n0=n0, tau_d=tau, phi0=_wrap(phase, phase_lo, periodic),
+                     background=background)
+
+    # Jacobian of the weighted residuals; d/dtau_d by central difference
+    jac = {"n0": -unit, "background": -cols[:, 3], "phi0": 2.0 * n0 * (s * cols[:, 1] + c * cols[:, 2])}
+    if "tau_d" in free:
+        h = 1e-4 * tau
+        up, down = data.columns(tau + h), data.columns(tau - h)
+        jac["tau_d"] = -n0 * (c * (up[:, 1] - down[:, 1]) - s * (up[:, 2] - down[:, 2])) / (2.0 * h)
+    jac = np.column_stack([jac[name] for name in free])
     try:
         # pseudo-inverse on unit-norm columns, so rank is judged free of units
         scale = np.linalg.norm(jac, axis=0)
@@ -404,31 +389,20 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     except np.linalg.LinAlgError:
         cov = None
 
-    if "phi0" in free and periodic:
-        params = replace(params, phi0=float(phase_lo + (params.phi0 - phase_lo) % np.pi))
-
-    # bound contact: linear parameters sit exactly on a bound when the
-    # solve clips them; nonlinear ones are judged in the search
-    # coordinates, where Nelder-Mead saturates (an unbounded phase never does)
+    # bound contact: every search here returns a bound exactly when it
+    # ends there; an unbounded phase has none
     msgs = []
-    z_at = dict(zip(nonlin, zip(z, z_bounds)))
     for name in free:
+        if name == "phi0" and periodic:
+            continue
         lo, hi = bounds[name]
-        if name in z_at:
-            v, (lo_z, hi_z) = z_at[name]
-            tol = 1e-6 * max(1.0, abs(v))
-            at_lo, at_hi = abs(v - lo_z) <= tol, abs(v - hi_z) <= tol
-        else:
-            v = getattr(params, name)
-            at_lo, at_hi = v == lo, v == hi
-        if at_lo:
+        v = getattr(params, name)
+        if v == lo:
             msgs.append(f"{name} at lower bound {lo:g}")
-        elif at_hi:
+        elif v == hi:
             msgs.append(f"{name} at upper bound {hi:g}")
-    converged = polish is None or bool(polish.success)
-    if not converged:
-        msgs.append(f"polish: {polish.message}")
     message = "; ".join(msgs) if msgs else "ok"
 
     dof = int(np.count_nonzero(data.keep)) - len(free)
-    return FitResult(params, best_chi2, dof, cov, converged, message, free, data.evaluations, tuple(starts))
+    return FitResult(params, best_chi2, dof, cov, bool(np.isfinite(best_chi2)), message, free,
+                     data.evaluations, tuple(starts))

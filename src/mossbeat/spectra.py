@@ -26,14 +26,16 @@ KALPHA_WINDOW_KEV = (19.2, 21.2)
 _EDGE_RTOL = 1e-9
 
 
-def _first_break(t, w) -> int | None:
-    """Index ``i`` of the first bin after which bin ``i + 1`` does not start
-    where bin ``i`` ends (``|t_{i+1} - (t_i + w_i)| > _EDGE_RTOL * max(w_i,
-    w_{i+1})``), or None.  ``t`` and ``w`` must be finite; an edge sum that
-    overflows counts as a break, without a warning."""
+def _check_contiguous(t, w) -> None:
+    """Raise ``StructuralError`` naming the first bin ``i`` after which bin
+    ``i + 1`` does not start where bin ``i`` ends (``|t_{i+1} - (t_i + w_i)|
+    > _EDGE_RTOL * max(w_i, w_{i+1})``).  ``t`` and ``w`` must be finite; an
+    edge sum that overflows counts as a break, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         broken = np.abs(t[1:] - (t[:-1] + w[:-1])) > _EDGE_RTOL * np.maximum(w[1:], w[:-1])
-    return int(np.argmax(broken)) if broken.any() else None
+    if broken.any():
+        bad = int(np.argmax(broken))
+        raise StructuralError(f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}")
 
 
 def _int64_counts(c: np.ndarray) -> bool:
@@ -81,9 +83,7 @@ class CountSeries:
             raise StructuralError("bin widths must be positive")
         if not _int64_counts(c):
             raise StructuralError("counts must be nonnegative integers that fit in a 64-bit integer")
-        bad = _first_break(t, w)
-        if bad is not None:
-            raise StructuralError(f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}")
+        _check_contiguous(t, w)
         c = _as_readonly(c, np.int64)
         object.__setattr__(self, "t_start", t)
         object.__setattr__(self, "width", w)
@@ -112,7 +112,7 @@ class RatioSeries:
     ``valid`` marks bins with a nonzero denominator; ``low_count`` marks
     valid bins whose numerator was zero (their sigma comes from a
     one-count floor on the numerator).  Invalid bins carry NaN ratio and
-    sigma; bin starts and widths are always finite.
+    sigma; bins are finite, contiguous and sorted, as in ``CountSeries``.
     """
 
     t_start: np.ndarray
@@ -136,6 +136,7 @@ class RatioSeries:
             raise StructuralError("t_start and width must be finite")
         if np.any(w <= 0.0):
             raise StructuralError("bin widths must be positive")
+        _check_contiguous(t, w)
         if np.any(s[v] <= 0.0):
             raise StructuralError("sigma must be positive on valid bins")
         for name, arr in (("t_start", t), ("width", w), ("ratio", r), ("sigma", s), ("valid", v), ("low_count", lc)):

@@ -184,6 +184,27 @@ def test_config_rejects_removed_phase_grid(tmp_path, capsys):
     assert "fit.phase_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["max_iters", "tolerance"])
+def test_config_rejects_removed_fit_options(tmp_path, capsys, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fit": {key: 1}}))
+    assert run_cli(["fit", "--config", str(path), "--data", str(tmp_path / "unused.csv")]) == 2
+    assert f"fit.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "unused.csv"],
+    ["simulate"],
+    ["normalize", "--gamma", "unused.csv", "--kalpha", "unused.csv"],
+], ids=["fit", "simulate", "normalize"])
+def test_format_only_where_honoured(tmp_path, monkeypatch, capsys, argv):
+    # these commands write one fixed format, so --format is a usage error
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--format", "csv"]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["--help"]) == 0
@@ -221,13 +242,31 @@ def test_set_flag_requires_equals(capsys):
     capsys.readouterr()
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded already
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter
+    (this test process has scipy loaded already)."""
     src = str(Path(mossbeat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mossbeat; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import mossbeat") == "[]"
+
+
+def test_fit_and_minima_load_no_scipy():
+    code = (
+        "from dataclasses import replace\n"
+        "import mossbeat as mb\n"
+        "true = mb.BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0)\n"
+        "gamma, _ = mb.simulate_counts(true, 1.0, 240.0, 14400.0, seed=5)\n"
+        "out = mb.fit_beat(gamma, mb.FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0)))\n"
+        "assert out.converged and abs(out.params.tau_d / true.tau_d - 1.0) < 0.1, out\n"
+        "assert len(mb.beat_minima(true, n=3)) == 3"
+    )
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_console_script_installed():

@@ -167,7 +167,7 @@ def test_fit_config_validation():
         FitConfig(bounds={"mystery": (0.0, 1.0)})
     with pytest.raises(TypeError):
         FitConfig(phase_grid=8)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         FitConfig(tolerance=0.0)
 
 

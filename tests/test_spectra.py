@@ -109,6 +109,13 @@ def test_ratio_series_validation():
     assert np.array_equal(r.edges, [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("t_start", [[0.0, 100.0], [0.0, 5.0]], ids=["gap", "overlap"])
+def test_ratio_series_contiguity(t_start):
+    # edges would misstate such bins: a gap after bin 0 would make it 100 s wide
+    with pytest.raises(StructuralError, match="break between bins 0 and 1"):
+        RatioSeries(t_start, [10.0, 10.0], [1.0, 1.0], [0.1, 0.1], [True, True], [False, False])
+
+
 @pytest.mark.parametrize("t_start, width", [
     ([0.0, np.inf], [np.inf, 1.0]),  # the gap test cannot see inf - inf
     ([0.0, np.nan], [1.0, 1.0]),
