@@ -537,21 +537,28 @@ class _BinModel:
         """Unit-n0 counts at p's tau_d and phi0 (p.tau0 must be this model's)."""
         return self._sums(p.tau_d, lambda u: (_beat_factor(u / np.sqrt(p.tau_d), p, kernel),))[0]
 
-    def phase_columns(self, tau_d: float) -> tuple[np.ndarray, np.ndarray]:
+    def phase_columns(self, tau_d: float, derivs: bool = False) -> tuple[np.ndarray, ...]:
         """Columns (D, S) with unit-n0 cos2 counts K/2 + cos(2 phi0) D - sin(2 phi0) S.
 
         cos^2(x + phi0) = 1/2 + cos(2 phi0) cos(2x) / 2 - sin(2 phi0) sin(2x) / 2,
         so one panel pass over cos 2x and sin 2x gives the model at every
         phase; K is the unmodulated integral (``kalpha_bin_expected`` at
-        unit scale).
+        unit scale).  With ``derivs`` the same pass also gives their exact
+        derivatives (dD/dtau_d, dS/dtau_d): with x = 2 u / sqrt(tau_d),
+        dx/dtau_d = -x / (2 tau_d), so they are tau_d^(-3/2) / 2 times the
+        integrals of u sin x and -u cos x.
         """
 
         def modulation(u):
             x = u * (2.0 / np.sqrt(tau_d))
-            return np.cos(x), np.sin(x, out=x)
+            cos, sin = np.cos(x), np.sin(x, out=x)
+            return (cos, sin, u * sin, u * cos) if derivs else (cos, sin)
 
-        d, s = 0.5 * self._sums(tau_d, modulation, 2)
-        return d, s
+        sums = 0.5 * self._sums(tau_d, modulation, 4 if derivs else 2)
+        if derivs:
+            sums[2:] *= tau_d**-1.5
+            sums[3] *= -1.0
+        return tuple(sums)
 
 
 def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarray:

@@ -210,6 +210,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
         "covariance": None if result.covariance is None else result.covariance.tolist(),
         "converged": result.converged,
         "message": result.message,
+        "evaluations": result.evaluations,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -12,7 +12,10 @@ by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 is zoomed in on by comparing trial phases.  The fit screens this
 exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which finds
 the one deep basin of the beat landscape without a multistart, and
-polishes the best grid point by golden section in log10 tau_d.
+polishes the best grid point by safeguarded Gauss-Newton steps in
+log10 tau_d (Kaufman, BIT 15, 1975), whose exact derivative columns come
+from the same panel pass; the final tau_d is chosen by comparing chi2 on
+a fixed lattice in log10 tau_d.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -39,13 +42,17 @@ _DEFAULT_BOUNDS = {
     "phi0": (0.0, np.pi),
     "background": (0.0, 1e9),
 }
-# screen: tau_d grid points per decade; polish: golden-section tolerance in
-# log10 tau_d.  Phase: trial phases per level and zoom levels, which end at
-# a step of about 1.5e-9 rad (see _zoom_min).  The chi2 comparisons of both
-# searches are decided by more than rounding on noiseless data, so that data
-# rescaled by a constant give the same tau_d and phi0 bit for bit.
+# screen: tau_d grid points per decade.  Polish: the lattice spacing in
+# log10 tau_d, the most Newton steps and the half-width, in lattice steps,
+# of the final comparison.  Phase: trial phases per level and zoom levels,
+# which end at a step of about 1.5e-9 rad (see _zoom_min).  The chi2
+# comparisons that pick tau_d and phi0 are decided by more than rounding on
+# noiseless data, so that data rescaled by a constant give the same tau_d
+# and phi0 bit for bit.
 _GRID_PER_DECADE = 4
-_TAU_XTOL = 1e-8
+_Z_STEP = 2.0**-28
+_NEWTON_STEPS = 8
+_WINDOW = 2
 _PHASE_TRIALS = 64
 _PHASE_LEVELS = 6
 
@@ -100,7 +107,8 @@ class FitResult:
     """Outcome of ``fit_beat``.
 
     ``covariance`` rows/columns follow ``free_names`` (natural units,
-    Gauss-Newton (J^T J)^-1 of the weighted residuals at the optimum).
+    Gauss-Newton (J^T J)^-1 of the weighted residuals at the optimum,
+    with exact Jacobian columns for every parameter).
     ``converged`` says that ``chi2`` is finite.  ``message`` carries
     bound-contact notes, or "ok".  ``evaluations`` counts model
     evaluations (panel passes) over the whole fit; ``starts`` holds one
@@ -162,13 +170,27 @@ class _WeightedSeries:
         self.model = _BinModel(edges, tau0, t_pump, reuse=True)
         self.evaluations = 0
 
-    def columns(self, tau_d: float) -> np.ndarray:
+    def columns(self, tau_d: float, derivs: bool = False) -> np.ndarray:
         """(bins, 4) columns K/2, D and S of the unit-n0 model at tau_d, and
-        the unit background."""
+        the unit background; with ``derivs`` also dD/dtau_d and dS/dtau_d,
+        as (bins, 6)."""
         self.evaluations += 1
-        d, s = self.model.phase_columns(tau_d)
-        return np.column_stack([self.half_k, d[self.keep] / self.denom / self.sig,
-                                s[self.keep] / self.denom / self.sig, self.background])
+        phase = [c[self.keep] / self.denom / self.sig for c in self.model.phase_columns(tau_d, derivs)]
+        return np.column_stack([self.half_k, *phase[:2], self.background, *phase[2:]])
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A profile point: tau_d, its profile chi2, the best phase, n0 and
+    background there, the pass's columns and the unit-n0 model column."""
+
+    tau: float
+    chi: float
+    phase: float
+    n0: float
+    background: float
+    cols: np.ndarray
+    unit: np.ndarray
 
 
 def _bounded_lstsq(a, c, t, lin, coef, lo, hi):
@@ -230,24 +252,6 @@ def chi2(series, params: BeatParams) -> float:
     return float(np.dot(r, r))
 
 
-def _golden_min(f, a, b, xtol):
-    """Golden-section minimum of f on [a, b] to a bracket of xtol, comparing
-    values of f only; returns the best inner point and its value."""
-    r = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def _zoom_min(f, rows, lo, hi, periodic):
     """Phase minimising f(phases) in each of ``rows`` rows, by comparison only.
 
@@ -292,15 +296,22 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     exactly, phi0 by ``_zoom_min`` to about 1.5e-9 rad.  A free tau_d is
     screened on a grid of 4 log-spaced points per decade over its
     bounds, both ends included; ties within 1e-9 relative chi2 break
-    toward lower tau_d.  Golden
-    section then polishes log10 tau_d between the best grid point's
-    neighbours to 1e-8, and the grid point is kept unless the search
-    does better, so a fit that ends on a bound returns the bound
-    exactly.  When the phi0 bounds span at least pi, the period of the
-    model, the phase is searched unbounded and reported in
-    [lo, lo + pi); narrower bounds are enforced.  The covariance is
-    Gauss-Newton: exact columns for n0, background and phi0, a central
-    difference for tau_d.
+    toward lower tau_d.  The polish then takes at most 8 Gauss-Newton
+    steps in z = log10 tau_d from the best grid point, inside the
+    bracket of its neighbours: slope 2 m.r and curvature 2 |m|^2 for the
+    residuals r and m = -dmodel/dz with the free inner parameters off
+    their bounds projected out.  A step that leaves the bracket, meets
+    zero curvature (n0 = 0, say) or does not lower chi2 gives way to
+    bisection of the bracket.  Every step lands on a lattice of spacing
+    2^-28 in z, and the final point is the lattice point of least chi2
+    found by comparison within 2 lattice steps of the best one the steps
+    reached; the grid point is kept unless that point does better, so a
+    fit that ends on a bound returns the bound exactly.  A fit with
+    default bounds thus takes 61 screen passes and at most 14 more.
+    When the phi0 bounds span at least pi, the period of the model, the
+    phase is searched unbounded and reported in [lo, lo + pi); narrower
+    bounds are enforced.  The covariance is Gauss-Newton, with exact
+    Jacobian columns for every free parameter.
     """
     free = cfg.free_params
     base = cfg.base
@@ -314,14 +325,14 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     phase_lo, phase_hi = bounds["phi0"]
     periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
-    def evaluate(tau):
+    def evaluate(tau, derivs=False):
         """The model columns at tau_d, and the QR pieces of the profile:
         chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
         Residuals in this 4-d basis keep chi2's relative precision, which
         the normal equations lose where the columns are nearly parallel
         (a slow beat, with D close to K/2)."""
-        cols = data.columns(float(tau))
-        q, r_cols = np.linalg.qr(cols)
+        cols = data.columns(float(tau), derivs)
+        q, r_cols = np.linalg.qr(cols[:, :4])
         y_proj = q.T @ data.y
         rest = data.y - q @ y_proj
         return cols, (r_cols, y_proj, np.dot(rest, rest))
@@ -340,7 +351,48 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             return np.full(len(rest), base.phi0), profile(np.full((len(rest), 1), base.phi0))[:, 0]
         return _zoom_min(profile, len(rest), phase_lo, phase_hi, periodic)
 
+    def fit_at(tau, derivs=False):
+        """One panel pass at tau_d and the best phase, n0 and background there."""
+        cols, pieces = evaluate(tau, derivs)
+        phases, chis = solve([pieces])
+        phase = float(phases[0])
+        c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
+        unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
+        n0, background, _ = _bounded_lstsq(unit, cols[:, 3], data.y, lin, coef, lin_lo, lin_hi)
+        return _Point(float(tau), float(chis[0]), phase, float(n0), float(background), cols, unit)
+
+    def residuals(pt):
+        return data.y - pt.n0 * pt.unit - pt.background * pt.cols[:, 3]
+
+    def jacobian(pt):
+        """Columns of the weighted residuals' Jacobian by parameter; tau_d's
+        comes from the exact derivative columns, when the pass made them."""
+        c, s = np.cos(2.0 * pt.phase), np.sin(2.0 * pt.phase)
+        jac = {"n0": -pt.unit, "background": -pt.cols[:, 3],
+               "phi0": 2.0 * pt.n0 * (s * pt.cols[:, 1] + c * pt.cols[:, 2])}
+        if pt.cols.shape[1] > 4:
+            jac["tau_d"] = -pt.n0 * (c * pt.cols[:, 4] - s * pt.cols[:, 5])
+        return jac
+
+    def newton(pt):
+        """Gauss-Newton slope and curvature of the profile chi2 in log10 tau_d.
+
+        The inner parameters that are free and off their bounds are
+        projected out of the tau_d column, which also corrects the slope
+        for the phase's quantization to first order (Golub & Pereyra 1973;
+        Kaufman, BIT 15 (1975) 49)."""
+        jac = jacobian(pt)
+        m = np.log(10.0) * pt.tau * jac["tau_d"]
+        values = {"n0": pt.n0, "background": pt.background, "phi0": pt.phase}
+        inner = [jac[name] for name in free if name != "tau_d"
+                 and (name == "phi0" and periodic or values[name] not in bounds[name])]
+        if inner:
+            a = np.column_stack(inner)
+            m = m - a @ np.linalg.lstsq(a, m, rcond=None)[0]
+        return 2.0 * np.dot(m, residuals(pt)), 2.0 * np.dot(m, m)
+
     tau, starts = base.tau_d, []
+    final = None
     if "tau_d" in free or "phi0" in free:
         # screen: the exact-phase profile chi2(tau_d) on a log grid
         if "tau_d" in free:
@@ -356,28 +408,58 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
                                data.evaluations, True, f"best of {len(taus)} tau_d grid points"))
         if "tau_d" in free:
-            z, chi = _golden_min(lambda z: solve([evaluate(10.0**z)[1]])[1][0],
-                                 z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)], _TAU_XTOL)
-            if chi < chis[best]:
-                tau = 10.0**z
+            # polish: safeguarded Newton from the best grid point, inside the
+            # bracket of its neighbours, on lattice points of log10 tau_d
+            lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
+            k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
+            final = pt = fit_at(tau, True)
+            z, tried = z_grid[best], {}
 
-    cols, pieces = evaluate(tau)
-    phase = float(solve([pieces])[0][0])
-    c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
-    unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
-    n0, background, _ = _bounded_lstsq(unit, cols[:, 3], data.y, lin, coef, lin_lo, lin_hi)
-    n0, background = float(n0), float(background)
-    r = data.y - n0 * unit - background * cols[:, 3]
+            def lattice(k, derivs=False):
+                if k not in tried:
+                    tried[k] = fit_at(np.clip(10.0 ** (k * _Z_STEP), *bounds["tau_d"]), derivs)
+                return tried[k]
+
+            for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
+                slope, curv = newton(pt)
+                if slope > 0.0:
+                    hi = min(hi, z)
+                elif slope < 0.0:
+                    lo = max(lo, z)
+                target = z - slope / curv if curv > 0.0 else np.nan
+                if not lo < target < hi:  # also when nan: bisect the bracket
+                    target = 0.5 * (lo + hi)
+                k = min(max(round(target / _Z_STEP), k_lo), k_hi)
+                if k in tried:
+                    break
+                if lattice(k, True).chi < pt.chi:
+                    z, pt = k * _Z_STEP, tried[k]
+                elif k * _Z_STEP > z:
+                    hi = k * _Z_STEP
+                else:
+                    lo = k * _Z_STEP
+            # the final point is chosen by comparing chi2 on the lattice only,
+            # so data rescaled by a constant give the same tau_d bit for bit
+            if tried:
+                k0 = k = min(tried, key=lambda j: (tried[j].chi, j))
+                for step in (-1, 1):
+                    while abs(k + step - k0) <= _WINDOW and k_lo <= k + step <= k_hi:
+                        if not lattice(k + step).chi < tried[k].chi:
+                            break
+                        k += step
+                if tried[k].chi < chis[best]:
+                    final = tried[k]
+                    tau = final.tau
+
+    if final is None or final.cols.shape[1] < 6:  # no pass yet, or none with derivatives
+        final = fit_at(tau, "tau_d" in free)
+    r = residuals(final)
     best_chi2 = float(np.dot(r, r))
-    params = replace(base, n0=n0, tau_d=tau, phi0=_wrap(phase, phase_lo, periodic),
-                     background=background)
+    params = replace(base, n0=final.n0, tau_d=tau, phi0=_wrap(final.phase, phase_lo, periodic),
+                     background=final.background)
 
-    # Jacobian of the weighted residuals; d/dtau_d by central difference
-    jac = {"n0": -unit, "background": -cols[:, 3], "phi0": 2.0 * n0 * (s * cols[:, 1] + c * cols[:, 2])}
-    if "tau_d" in free:
-        h = 1e-4 * tau
-        up, down = data.columns(tau + h), data.columns(tau - h)
-        jac["tau_d"] = -n0 * (c * (up[:, 1] - down[:, 1]) - s * (up[:, 2] - down[:, 2])) / (2.0 * h)
+    # Gauss-Newton covariance from the exact Jacobian columns
+    jac = jacobian(final)
     jac = np.column_stack([jac[name] for name in free])
     try:
         # pseudo-inverse on unit-norm columns, so rank is judged free of units

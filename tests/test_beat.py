@@ -19,7 +19,7 @@ from mossbeat import (
     kalpha_bin_expected,
     tau_d,
 )
-from mossbeat.beat import _BinModel
+from mossbeat.beat import _BinModel, _panel_counts
 
 
 def j0_integral_oracle(x):
@@ -366,6 +366,28 @@ def test_phase_columns_reproduce_bin_expected_counts():
             assert np.max(np.abs(got - ref) / k) <= 1e-12
             if np.min(ref / k) >= 0.1:
                 assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("td", [0.01, 485.7, 1e4])
+def test_phase_column_derivatives_match_richardson_difference(td):
+    # the exact d/dtau_d columns against a Richardson-extrapolated central
+    # difference of (D, S); at tau_d = 0.01 the beat period caps the panels,
+    # so the layout has more than one panel per piece
+    edges = np.linspace(0.0, 14400.0, 601)
+    model = _BinModel(edges, 4857.0, 3600.0)
+    d, s, dd, ds = model.phase_columns(td, derivs=True)
+    assert np.array_equal(np.stack([d, s]), np.stack(model.phase_columns(td)))
+    if td == 0.01:
+        assert _panel_counts(model.gaps, model.caps, td).max() > 1
+
+    def central(h):
+        up, down = np.stack(model.phase_columns(td + h)), np.stack(model.phase_columns(td - h))
+        return (up - down) / (2.0 * h)
+
+    h = 1e-5 * td
+    ref = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    for got, want in zip((dd, ds), ref):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def _direct_bin_counts(p, edges, kernel="cos2"):

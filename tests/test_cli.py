@@ -14,6 +14,7 @@ from mossbeat import (
     DEFAULT_RHODIUM,
     RunConfig,
     doppler_speed_per_linewidth,
+    fit_beat,
     natural_linewidth,
     read_count_series,
     read_ratio_series,
@@ -156,6 +157,17 @@ def test_simulate_fit_normalize_pipeline(tmp_path, capsys):
     ]) == 0
     ratio = read_ratio_series(ratio_out)
     assert len(ratio) == 600
+
+
+def test_fit_json_reports_evaluations(tmp_path, capsys):
+    prefix = str(tmp_path / "run")
+    assert run_cli(["simulate", "--out", prefix]) == 0
+    capsys.readouterr()
+    assert run_cli(["fit", "--data", prefix + "_gamma.csv"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    expected = fit_beat(read_count_series(prefix + "_gamma.csv"), RunConfig.default().fit())
+    assert result["evaluations"] == expected.evaluations
+    assert result["params"]["tau_d"] == expected.params.tau_d
 
 
 def test_normalize_stdout_matches_ratio_file(tmp_path, capsys):

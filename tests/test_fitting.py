@@ -1,5 +1,6 @@
 from dataclasses import replace
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,33 @@ def test_fit_evaluation_budget():
         out = fit_beat(series, cfg)
         assert out.converged
         assert out.evaluations <= 300
+
+
+def test_fit_pass_budget():
+    # criterion 11's seed 1000: 61 screen passes, then at most 14 for the
+    # Newton polish, the lattice comparison and the final point
+    true = replace(TRUE, n0=4.0)
+    gamma, kalpha = simulate_counts(true, 1.0, 24.0, 14400.0, seed=1000)
+    cfg = FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    for series in (gamma, normalize(gamma, kalpha)):
+        out = fit_beat(series, cfg)
+        assert out.starts[0].evaluations == 61
+        assert out.evaluations <= 75
+
+
+@pytest.mark.parametrize("n0", [0.0, 0.01])
+@pytest.mark.parametrize("free_background", [True, False])
+def test_fit_weak_or_absent_beat_warns_nothing(n0, free_background):
+    # n0 at or near 0 gives the polish zero or vanishing curvature in tau_d
+    true = replace(TRUE, n0=n0, background=0.02)
+    gamma, _ = simulate_counts(true, 1.0, 24.0, 14400.0, seed=41)
+    free = ("n0", "tau_d", "phi0") + (("background",) if free_background else ())
+    cfg = FitConfig(free_params=free, base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fit_beat(gamma, cfg)
+    assert out.converged
+    assert np.all(np.isfinite(out.covariance))
 
 
 @pytest.mark.parametrize("true_tau_d", [60.0, 10000.0])
