@@ -15,7 +15,12 @@ the one deep basin of the beat landscape without a multistart, and
 polishes the best grid point by safeguarded Gauss-Newton steps in
 log10 tau_d (Kaufman, BIT 15, 1975), whose exact derivative columns come
 from the same panel pass; the final tau_d is chosen by comparing chi2 on
-a fixed lattice in log10 tau_d.
+a fixed lattice in log10 tau_d.  The screen's unit-n0 columns depend
+only on the bin edges, tau0, t_pump and the tau_d grid, so they are kept
+for the last binning fitted in the process: repeated fits on one binning
+screen without a panel pass.  That holds 2 x grid x bins doubles, about
+0.6 MB for 61 grid points and 600 bins and 59 MB at 60 000 bins, until a
+fit on another binning replaces them.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -27,6 +32,7 @@ fitted n0 is measured in units of the fluorescence scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -111,9 +117,10 @@ class FitResult:
     with exact Jacobian columns for every parameter).
     ``converged`` says that ``chi2`` is finite.  ``message`` carries
     bound-contact notes, or "ok".  ``evaluations`` counts model
-    evaluations (panel passes) over the whole fit; ``starts`` holds one
-    ``FitStart`` for the tau_d screen (empty when neither tau_d nor phi0
-    is free).
+    evaluations (panel passes) over the whole fit, each screen point as
+    one whether its columns were computed or taken from the screen's
+    cache; ``starts`` holds one ``FitStart`` for the tau_d screen (empty
+    when neither tau_d nor phi0 is free).
     """
 
     params: BeatParams
@@ -146,37 +153,70 @@ class _WeightedSeries:
 
     def __init__(self, series, tau0: float, t_pump: float):
         edges = np.asarray(series.edges, dtype=float)
-        if hasattr(series, "ratio"):
+        ratio = hasattr(series, "ratio")
+        if ratio:
             obs = np.asarray(series.ratio, dtype=float)
             sig = np.asarray(series.sigma, dtype=float)
             keep = np.asarray(series.valid, dtype=bool) & (sig > 0.0)
             if len(obs) == 0 or not np.any(keep):
                 raise StructuralError("series has no valid bins with positive sigma")
-            # the unit-scale fluorescence denominator depends on no fitted
-            # parameter, so it is built once per series
-            denom = kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep]
         else:
             obs = np.asarray(series.counts, dtype=float)
             if len(obs) == 0:
                 raise StructuralError("series is empty")
             sig = np.sqrt(np.maximum(obs, 1.0))
             keep = np.ones(len(obs), dtype=bool)
-            denom = 1.0
+        # K, the unit-scale fluorescence counts, depends on no fitted
+        # parameter; it is also a ratio series' model denominator
+        k = kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep]
+        denom = k if ratio else 1.0
         self.edges, self.keep, self.denom = edges, keep, denom
+        self.tau0, self.t_pump = tau0, t_pump
         self.sig = sig[keep]
         self.y = obs[keep] / self.sig
         self.background = t_pump * np.diff(edges)[keep] / denom / self.sig
-        self.half_k = 0.5 * kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep] / denom / self.sig
-        self.model = _BinModel(edges, tau0, t_pump, reuse=True)
+        self.half_k = 0.5 * k / denom / self.sig
         self.evaluations = 0
 
-    def columns(self, tau_d: float, derivs: bool = False) -> np.ndarray:
+    @cached_property
+    def model(self) -> _BinModel:
+        return _BinModel(self.edges, self.tau0, self.t_pump, reuse=True)
+
+    def columns(self, tau_d: float, derivs: bool = False, phase=None) -> np.ndarray:
         """(bins, 4) columns K/2, D and S of the unit-n0 model at tau_d, and
         the unit background; with ``derivs`` also dD/dtau_d and dS/dtau_d,
-        as (bins, 6)."""
+        as (bins, 6).  ``phase`` supplies the pass's unweighted (D, S) over
+        all bins when they are already known (from the screen's cache);
+        they still count as one evaluation."""
         self.evaluations += 1
-        phase = [c[self.keep] / self.denom / self.sig for c in self.model.phase_columns(tau_d, derivs)]
+        if phase is None:
+            phase = self.model.phase_columns(tau_d, derivs)
+        phase = [c[self.keep] / self.denom / self.sig for c in phase]
         return np.column_stack([self.half_k, *phase[:2], self.background, *phase[2:]])
+
+
+# (key, columns) of the last binning screened: the key is the edges' bytes,
+# tau0, t_pump and the grid's bytes, the columns are the read-only unit-n0
+# (D, S) of every grid tau_d over all bins, shape (grid, 2, bins).  Nothing
+# derived from the data (kept bins, sigma, denominator) goes in.
+_screen_slot = None
+
+
+def _screen_columns(data: _WeightedSeries, taus: np.ndarray) -> np.ndarray:
+    """The unit-n0 phase columns at each of ``taus`` for ``data``'s binning,
+    from the slot or, on a miss, from one panel pass per tau_d."""
+    global _screen_slot
+    key = (data.edges.tobytes(), float(data.tau0), float(data.t_pump), taus.tobytes())
+    slot = _screen_slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    _screen_slot = slot = None  # free the old columns before computing new ones
+    cols = np.empty((len(taus), 2, len(data.edges) - 1))
+    for row, tau in zip(cols, taus):
+        row[:] = data.model.phase_columns(float(tau))
+    cols.setflags(write=False)
+    _screen_slot = (key, cols)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -307,7 +347,12 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     found by comparison within 2 lattice steps of the best one the steps
     reached; the grid point is kept unless that point does better, so a
     fit that ends on a bound returns the bound exactly.  A fit with
-    default bounds thus takes 61 screen passes and at most 14 more.
+    default bounds thus takes 61 screen evaluations and at most 14 more.
+    The screen's columns are kept for the last binning fitted (edges,
+    tau0, t_pump and grid; 2 x grid x bins doubles), so a further fit on
+    that binning makes only the polish's panel passes; its screen points
+    still count as evaluations, and its result is bit for bit that of a
+    fit with an empty cache.
     When the phi0 bounds span at least pi, the period of the model, the
     phase is searched unbounded and reported in [lo, lo + pi); narrower
     bounds are enforced.  The covariance is Gauss-Newton, with exact
@@ -325,13 +370,13 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     phase_lo, phase_hi = bounds["phi0"]
     periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
-    def evaluate(tau, derivs=False):
+    def evaluate(tau, derivs=False, phase=None):
         """The model columns at tau_d, and the QR pieces of the profile:
         chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
         Residuals in this 4-d basis keep chi2's relative precision, which
         the normal equations lose where the columns are nearly parallel
         (a slow beat, with D close to K/2)."""
-        cols = data.columns(float(tau), derivs)
+        cols = data.columns(float(tau), derivs, phase)
         q, r_cols = np.linalg.qr(cols[:, :4])
         y_proj = q.T @ data.y
         rest = data.y - q @ y_proj
@@ -402,7 +447,7 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             taus[[0, -1]] = bounds["tau_d"]
         else:
             taus = np.array([base.tau_d])
-        phases, chis = solve([evaluate(t)[1] for t in taus])
+        phases, chis = solve([evaluate(t, phase=p)[1] for t, p in zip(taus, _screen_columns(data, taus))])
         best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
         tau = float(taus[best])
         starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),

@@ -17,6 +17,8 @@ from mossbeat import (
     normalize,
     simulate_counts,
 )
+from mossbeat import fitting
+from mossbeat.beat import _BinModel
 
 TRUE = BeatParams(n0=60.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0, background=0.0)
 
@@ -317,3 +319,105 @@ def test_fit_recovers_fast_and_slow_beats(true_tau_d):
         assert out.params.tau_d == pytest.approx(true_tau_d, rel=0.05)
         delta_phi = abs(out.params.phi0 - true.phi0) % np.pi
         assert min(delta_phi, np.pi - delta_phi) <= 0.1
+
+
+def _result_fields(out):
+    """Every field of a FitResult, the covariance as its bytes."""
+    cov = None if out.covariance is None else out.covariance.tobytes()
+    return (out.params, out.chi2, out.dof, cov, out.converged, out.message, out.free_names,
+            out.evaluations, out.starts)
+
+
+@pytest.fixture
+def cold_screen(monkeypatch):
+    """Empties the screen's column cache for the test; returns a function
+    that empties it again."""
+    def clear():
+        monkeypatch.setattr(fitting, "_screen_slot", None)
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def pass_counter(monkeypatch):
+    """Counts panel passes made for phase columns (screen and polish)."""
+    calls = [0]
+    original = _BinModel.phase_columns
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_BinModel, "phase_columns", counted)
+    return calls
+
+
+def _criterion11_seed1000(kalpha_scale=1.0):
+    true = replace(TRUE, n0=4.0)
+    gamma, kalpha = simulate_counts(true, kalpha_scale, 24.0, 14400.0, seed=1000)
+    return gamma, normalize(gamma, kalpha), FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+
+
+def test_screen_cache_cold_warm_interleaved_identical(cold_screen):
+    gamma, ratio, cfg = _criterion11_seed1000()
+    other, _ = simulate_counts(replace(TRUE, n0=4.0), 1.0, 48.0, 14400.0, seed=1001)
+    cold = {}
+    for name, series in (("a", gamma), ("b", other), ("ratio", ratio)):
+        cold_screen()
+        cold[name] = _result_fields(fit_beat(series, cfg))
+    cold_screen()
+    # binning A cold, A warm, then B, A and A's ratio after the switch back
+    for name in ("a", "a", "b", "a", "ratio"):
+        series = {"a": gamma, "b": other, "ratio": ratio}[name]
+        assert _result_fields(fit_beat(series, cfg)) == cold[name]
+
+
+@pytest.mark.parametrize("change", [
+    {"tau0": 4000.0},
+    {"t_pump": 1800.0},
+    {"bounds": {"tau_d": (1e-2, 1e12)}},
+    {"bounds": {"tau_d": (1e-3, 1e11)}},
+])
+def test_screen_cache_misses_on_other_model_inputs(cold_screen, pass_counter, change):
+    gamma, _, cfg = _criterion11_seed1000()
+    fit_beat(gamma, cfg)
+    base = replace(cfg.base, **{k: v for k, v in change.items() if k != "bounds"})
+    other = FitConfig(bounds=change.get("bounds", {}), base=base)
+    pass_counter[0] = 0
+    warm_after_other = fit_beat(gamma, other)
+    screen = warm_after_other.starts[0].evaluations
+    assert pass_counter[0] >= screen  # every grid point took a panel pass
+    cold_screen()
+    assert _result_fields(warm_after_other) == _result_fields(fit_beat(gamma, other))
+
+
+def test_screen_cache_is_read_only(cold_screen):
+    gamma, _, cfg = _criterion11_seed1000()
+    fit_beat(gamma, cfg)
+    cols = fitting._screen_slot[1]
+    assert cols.shape == (61, 2, len(gamma))
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0, 0] = 0.0
+
+
+def test_screen_cache_ratio_with_invalid_bins_matches_cold_fit(cold_screen):
+    gamma, ratio, cfg = _criterion11_seed1000(kalpha_scale=1e-4)
+    assert 0 < np.count_nonzero(~ratio.valid) < len(ratio)  # premise: some bins invalid
+    cold = _result_fields(fit_beat(ratio, cfg))
+    cold_screen()
+    fit_beat(gamma, cfg)  # fills the cache on the same edges with every bin kept
+    assert _result_fields(fit_beat(ratio, cfg)) == cold
+
+
+def test_screen_cache_pass_count(cold_screen, pass_counter):
+    # criterion 11's seed 1000: the count fit screens cold, the ratio fit on
+    # the same edges reuses the screen and makes only its polish passes
+    gamma, ratio, cfg = _criterion11_seed1000()
+    fit_beat(gamma, cfg)
+    assert pass_counter[0] >= 61
+    pass_counter[0] = 0
+    out = fit_beat(ratio, cfg)
+    assert pass_counter[0] <= 14
+    assert out.starts[0].evaluations == 61  # cached screen points still count
