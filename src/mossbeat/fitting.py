@@ -11,16 +11,19 @@ by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 (bounded weighted least squares) cost O(1) per trial phase, and phi0
 is zoomed in on by comparing trial phases.  The fit screens this
 exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which finds
-the one deep basin of the beat landscape without a multistart, and
-polishes the best grid point by safeguarded Gauss-Newton steps in
-log10 tau_d (Kaufman, BIT 15, 1975), whose exact derivative columns come
-from the same panel pass; the final tau_d is chosen by comparing chi2 on
-a fixed lattice in log10 tau_d.  The screen's unit-n0 columns depend
-only on the bin edges, tau0, t_pump and the tau_d grid, so they are kept
-for the last binning fitted in the process: repeated fits on one binning
-screen without a panel pass.  That holds 2 x grid x bins doubles, about
-0.6 MB for 61 grid points and 600 bins and 59 MB at 60 000 bins, until a
-fit on another binning replaces them.
+the one deep basin of the beat landscape without a multistart.  A grid
+point's profile chi2 is never below the part of the data outside its
+columns' span, so the phase is searched only where that part does not
+rule the point out (see ``fit_beat``).  The fit then polishes the best
+grid point by safeguarded Gauss-Newton steps in log10 tau_d (Kaufman,
+BIT 15, 1975), whose exact derivative columns come from the same panel
+pass; the final tau_d is chosen by comparing chi2 on a fixed lattice in
+log10 tau_d.  The screen's unit-n0 columns depend only on the bin edges,
+tau0, t_pump and the tau_d grid, so they are kept for the last binning
+fitted in the process: repeated fits on one binning screen without a
+panel pass.  That holds 2 x grid x bins doubles, about 0.6 MB for 61
+grid points and 600 bins and 59 MB at 60 000 bins, until a full screen
+on another binning replaces them.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -202,6 +205,17 @@ class _WeightedSeries:
 _screen_slot = None
 
 
+def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's grid over the tau_d ``bounds``: 4 points per decade,
+    evenly spaced in z = log10 tau_d with both ends included; returns the
+    z values and the tau_d values, whose ends are the bounds exactly."""
+    z_lo, z_hi = np.log10(bounds)
+    z_grid = np.linspace(z_lo, z_hi, int(np.ceil(_GRID_PER_DECADE * (z_hi - z_lo))) + 1)
+    taus = 10.0**z_grid
+    taus[[0, -1]] = bounds
+    return z_grid, taus
+
+
 def _screen_columns(data: _WeightedSeries, taus: np.ndarray) -> np.ndarray:
     """The unit-n0 phase columns at each of ``taus`` for ``data``'s binning,
     from the slot or, on a miss, from one panel pass per tau_d."""
@@ -292,6 +306,36 @@ def chi2(series, params: BeatParams) -> float:
     return float(np.dot(r, r))
 
 
+def _qr_pieces(cols, y):
+    """QR pieces (R, Q^T y, rest) of the profile at one tau_d, from its model
+    columns: chi2 = |Q^T y - R x|^2 + rest for any coefficients x, where
+    rest = |y - Q Q^T y|^2 is the part of the data outside the columns'
+    span.  Residuals in this 4-d basis keep chi2's relative precision, which
+    the normal equations lose where the columns are nearly parallel (a slow
+    beat, with D close to K/2)."""
+    q, r_cols = np.linalg.qr(cols[:, :4])
+    y_proj = q.T @ y
+    rest = y - q @ y_proj
+    return r_cols, y_proj, np.dot(rest, rest)
+
+
+def _phase_profile(pieces, lin, coef, lo, hi):
+    """profile(phases): the chi2 at each of a (rows, trials) array of phases,
+    one row per tau_d in ``pieces``, with n0 and background solved by
+    ``_bounded_lstsq`` (free where listed in ``lin``, within [lo, hi]).
+    Each row is computed on its own, so a row's values do not depend on
+    which rows are stacked with it."""
+    r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
+
+    def profile(phases):
+        v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
+        model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
+        ss = _bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lo, hi)[2]
+        return ss + rest[:, None]
+
+    return profile
+
+
 def _zoom_min(f, rows, lo, hi, periodic):
     """Phase minimising f(phases) in each of ``rows`` rows, by comparison only.
 
@@ -322,6 +366,13 @@ def _zoom_min(f, rows, lo, hi, periodic):
     return best, best_value
 
 
+def _tie_limit(chi: float) -> float:
+    """The largest chi2 that ties with ``chi``: 1e-9 relative, 1e-9 absolute
+    near 0.  Increasing in ``chi``, so a value above the limit of an upper
+    bound on the least chi2 is above the limit of the least chi2 too."""
+    return chi + 1e-9 * (1.0 + abs(chi))
+
+
 def _wrap(phase: float, lo: float, periodic: bool) -> float:
     """phase reduced to [lo, lo + pi) when periodic."""
     return float(lo + (phase - lo) % np.pi) if periodic else phase
@@ -336,8 +387,19 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     exactly, phi0 by ``_zoom_min`` to about 1.5e-9 rad.  A free tau_d is
     screened on a grid of 4 log-spaced points per decade over its
     bounds, both ends included; ties within 1e-9 relative chi2 break
-    toward lower tau_d.  The polish then takes at most 8 Gauss-Newton
-    steps in z = log10 tau_d from the best grid point, inside the
+    toward lower tau_d.  A point's profile chi2 is rest + ss, with rest
+    the squared residual outside the span of its four columns and ss >= 0,
+    so it is never below rest, in floating point too.  The phase is
+    searched first at the point of least rest; its chi2 bounds the
+    screen's minimum, and every point whose rest exceeds that bound by
+    more than the tie margin is skipped, as it can neither win nor tie.
+    With a measured beat only that first point is searched; where the
+    data carry no beat (n0 = 0), all rests lie within the margin of the
+    least chi2 and nothing is skipped.  A NaN rest skips nothing.  The
+    result is bit for bit that of a search at every point, because each
+    point's phase search is independent of the points searched with it.
+    The polish then takes at most 8 Gauss-Newton steps in
+    z = log10 tau_d from the best grid point, inside the
     bracket of its neighbours: slope 2 m.r and curvature 2 |m|^2 for the
     residuals r and m = -dmodel/dz with the free inner parameters off
     their bounds projected out.  A step that leaves the bracket, meets
@@ -352,7 +414,8 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     tau0, t_pump and grid; 2 x grid x bins doubles), so a further fit on
     that binning makes only the polish's panel passes; its screen points
     still count as evaluations, and its result is bit for bit that of a
-    fit with an empty cache.
+    fit with an empty cache.  A fit with tau_d fixed makes its one screen
+    pass directly and leaves the kept columns alone.
     When the phi0 bounds span at least pi, the period of the model, the
     phase is searched unbounded and reported in [lo, lo + pi); narrower
     bounds are enforced.  The covariance is Gauss-Newton, with exact
@@ -371,30 +434,16 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
     def evaluate(tau, derivs=False, phase=None):
-        """The model columns at tau_d, and the QR pieces of the profile:
-        chi2 = |Q^T y - R x|^2 + |y - Q Q^T y|^2 for any coefficients x.
-        Residuals in this 4-d basis keep chi2's relative precision, which
-        the normal equations lose where the columns are nearly parallel
-        (a slow beat, with D close to K/2)."""
+        """The model columns at tau_d and their QR pieces."""
         cols = data.columns(float(tau), derivs, phase)
-        q, r_cols = np.linalg.qr(cols[:, :4])
-        y_proj = q.T @ data.y
-        rest = data.y - q @ y_proj
-        return cols, (r_cols, y_proj, np.dot(rest, rest))
+        return cols, _qr_pieces(cols, data.y)
 
     def solve(pieces):
         """Best phase and its profile chi2 at each tau_d, from its QR pieces."""
-        r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
-
-        def profile(phases):
-            v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
-            model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
-            ss = _bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lin_lo, lin_hi)[2]
-            return ss + rest[:, None]
-
+        profile = _phase_profile(pieces, lin, coef, lin_lo, lin_hi)
         if "phi0" not in free:
-            return np.full(len(rest), base.phi0), profile(np.full((len(rest), 1), base.phi0))[:, 0]
-        return _zoom_min(profile, len(rest), phase_lo, phase_hi, periodic)
+            return np.full(len(pieces), base.phi0), profile(np.full((len(pieces), 1), base.phi0))[:, 0]
+        return _zoom_min(profile, len(pieces), phase_lo, phase_hi, periodic)
 
     def fit_at(tau, derivs=False):
         """One panel pass at tau_d and the best phase, n0 and background there."""
@@ -441,14 +490,24 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     if "tau_d" in free or "phi0" in free:
         # screen: the exact-phase profile chi2(tau_d) on a log grid
         if "tau_d" in free:
-            z_lo, z_hi = np.log10(bounds["tau_d"])
-            z_grid = np.linspace(z_lo, z_hi, int(np.ceil(_GRID_PER_DECADE * (z_hi - z_lo))) + 1)
-            taus = 10.0**z_grid
-            taus[[0, -1]] = bounds["tau_d"]
-        else:
+            z_grid, taus = _tau_grid(bounds["tau_d"])
+            pieces = [evaluate(t, phase=p)[1] for t, p in zip(taus, _screen_columns(data, taus))]
+        else:  # one point: a direct pass, which leaves the slot to full screens
             taus = np.array([base.tau_d])
-        phases, chis = solve([evaluate(t, phase=p)[1] for t, p in zip(taus, _screen_columns(data, taus))])
-        best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
+            pieces = [evaluate(base.tau_d)[1]]
+        # a point's chi2 is never below its rest: search the phase at the
+        # least rest first, then only where rest is not above the tie
+        # limit of that chi2; a skipped point can neither win nor tie
+        rest = np.array([p[2] for p in pieces])
+        first = int(np.argmin(rest))
+        phases, chis = np.full(len(taus), np.nan), np.full(len(taus), np.inf)
+        phases[[first]], chis[[first]] = solve([pieces[first]])
+        search = ~(rest > _tie_limit(chis[first]))
+        search[first] = False
+        if search.any():
+            idx = np.flatnonzero(search)
+            phases[idx], chis[idx] = solve([pieces[i] for i in idx])
+        best = int(np.flatnonzero(chis <= _tie_limit(chis.min()))[0])
         tau = float(taus[best])
         starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
                                data.evaluations, True, f"best of {len(taus)} tau_d grid points"))

@@ -421,3 +421,100 @@ def test_screen_cache_pass_count(cold_screen, pass_counter):
     out = fit_beat(ratio, cfg)
     assert pass_counter[0] <= 14
     assert out.starts[0].evaluations == 61  # cached screen points still count
+
+
+def test_screen_cache_kept_across_phi0_only_fit(cold_screen, pass_counter):
+    # a fit with tau_d fixed screens one point by a direct pass, so it
+    # leaves the full screen's slot to the next full fit on the binning
+    gamma, _, cfg = _criterion11_seed1000()
+    phi0_only = FitConfig(free_params=("n0", "phi0"), base=cfg.base)
+    cold = {}
+    for name, c in (("full", cfg), ("phi0", phi0_only)):
+        cold_screen()
+        cold[name] = _result_fields(fit_beat(gamma, c))
+    cold_screen()
+    passes = []
+    for name in ("full", "full", "phi0", "full"):
+        pass_counter[0] = 0
+        out = fit_beat(gamma, cfg if name == "full" else phi0_only)
+        passes.append(pass_counter[0])
+        assert _result_fields(out) == cold[name]
+    assert passes[2] == 2  # the one screen point and the final point
+    assert passes[3] <= 14
+
+
+def _beatless_free_background():
+    true = replace(TRUE, n0=0.0, background=0.02)
+    gamma, _ = simulate_counts(true, 1.0, 24.0, 14400.0, seed=41)
+    cfg = FitConfig(free_params=("n0", "tau_d", "phi0", "background"),
+                    base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    return gamma, cfg
+
+
+def _screen_oracle_cases():
+    gamma, ratio, cfg = _criterion11_seed1000()
+    beatless, beatless_cfg = _beatless_free_background()
+    narrow = FitConfig(bounds={"phi0": (0.1, 1.0)}, base=cfg.base)
+    return {"counts": (gamma, cfg), "ratio": (ratio, cfg), "beatless": (beatless, beatless_cfg),
+            "narrow_phi0": (gamma, narrow)}
+
+
+@pytest.mark.parametrize("case", ["counts", "ratio", "beatless", "narrow_phi0"])
+def test_screen_skip_matches_per_point_oracle(case):
+    # every grid tau_d fitted on its own, with tau_d fixed, gives its exact
+    # profile chi2; the screen, which skips points by their rest, must pick
+    # the first grid tau_d within the tie rule of the least of them
+    series, cfg = _screen_oracle_cases()[case]
+    _, taus = fitting._tau_grid(cfg.bounds["tau_d"])
+    fixed = tuple(name for name in cfg.free_params if name != "tau_d")
+    chis = np.array([
+        fit_beat(series, FitConfig(free_params=fixed, bounds=cfg.bounds,
+                                   base=replace(cfg.base, tau_d=float(tau)))).starts[0].chi2
+        for tau in taus
+    ])
+    best = int(np.flatnonzero(chis <= chis.min() + 1e-9 * (1.0 + abs(chis.min())))[0])
+    (screen,) = fit_beat(series, cfg).starts
+    assert screen.tau_d == taus[best]
+    assert screen.chi2 == chis[best]
+
+
+@pytest.fixture
+def phase_rows(monkeypatch):
+    """Rows (tau_d points) given to each ``_zoom_min`` call, in order."""
+    rows = []
+    original = fitting._zoom_min
+
+    def counted(f, n, *args):
+        rows.append(n)
+        return original(f, n, *args)
+
+    monkeypatch.setattr(fitting, "_zoom_min", counted)
+    return rows
+
+
+def test_screen_phase_search_budget(phase_rows):
+    # criterion 11's seed 1000: the least-rest point bounds the screen, so
+    # only it is phase-searched there; the polish searches its own points
+    gamma, _, cfg = _criterion11_seed1000()
+    fit_beat(gamma, cfg)
+    assert phase_rows[:2] == [1, 1]
+    assert sum(phase_rows) <= 20
+    # beatless data bound nothing: the least-rest point, then the other 60
+    phase_rows.clear()
+    fit_beat(*_beatless_free_background())
+    assert phase_rows[:2] == [1, 60]
+
+
+def test_zoom_min_rows_independent_of_stacking():
+    # the premise of a bit-identical skip: a phase search over stacked
+    # tau_d points gives each point what a search over it alone gives
+    gamma, _, cfg = _criterion11_seed1000()
+    data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
+    pieces = [fitting._qr_pieces(data.columns(tau), data.y) for tau in (30.0, 485.7, 1e6)]
+    lin, coef = [0], (cfg.base.n0, cfg.base.background)
+    lo, hi = np.array([[0.0], [1e12]])
+    for bounds in ((0.0, np.pi, True), (0.1, 1.0, False)):
+        phases, values = fitting._zoom_min(fitting._phase_profile(pieces, lin, coef, lo, hi), 3, *bounds)
+        for i, one in enumerate(pieces):
+            alone = fitting._zoom_min(fitting._phase_profile([one], lin, coef, lo, hi), 1, *bounds)
+            assert (alone[0][0], alone[1][0]) == (phases[i], values[i])
