@@ -11,12 +11,13 @@ Consecutive minima of the modulation sit at t_m = tau_d (pi/2 + m pi -
 phi0)^2, so their spacing grows linearly with m.
 
 Every integral of the rate -- the accumulated intensity, the beat curve
-and the expected counts per bin -- goes through one engine: fixed-order
+and the expected counts per bin -- goes through one engine:
 Gauss-Legendre panels in u = sqrt(tau), where the integrand is smooth,
 each panel capped at one beat period, at sqrt(tau0) and at the local
-decay length tau0 / (2 u).  The binned model integrates the rate once
-over the pieces between the union of all bins' breakpoints and builds
-every bin from those pieces.
+decay length tau0 / (2 u), and given the fewest nodes, 4 to 12, that keep
+the error bound of a 12-node panel at a full cap.  The binned model
+integrates the rate once over the pieces between the union of all bins'
+breakpoints and builds every bin from those pieces.
 
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
@@ -26,6 +27,8 @@ the tests.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,24 +345,51 @@ def _bisect(f, lo: float, hi: float) -> float:
 # ranges, so each edge is one weighted bincount over the pieces.
 #
 # The integrands are smooth in u = sqrt(tau).  Each piece is split into
-# equal 12-point Gauss-Legendre panels in u, no wider than one beat period
+# equal Gauss-Legendre panels in u, no wider than one beat period
 # pi sqrt(tau_d), than sqrt(tau0) and than the local decay length
 # tau0 / (2 u) of exp(-u^2 / tau0), so that no panel spans many decay
-# lengths when tau0 << tau_d, early or late.  The quadrature error bound
-# for exp(i w x) over a panel that advances its phase by 2 pi is about
-# 2e-19, so what remains of a bin's error is rounding (see
-# ``bin_expected_counts``).
+# lengths when tau0 << tau_d, early or late.  A panel that spans a share r
+# of its cap advances the phase of exp(i w x) by theta = 2 pi r, and the
+# n-node remainder for exp(i w x) over it (Abramowitz & Stegun 25.4.29) is
+# theta^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) / w.  Each interval gets the
+# fewest nodes, from 4 to 12, whose term at its own r is no larger than the
+# 12-node term at a full cap, about 8e-19 / w, so what remains of a bin's
+# error is rounding (see ``bin_expected_counts``).  The order is chosen per
+# interval from that interval alone, never per layout, so each value
+# depends only on its own interval.
 #
 # A layout holds what depends only on the intervals, tau0 and the panel
-# count of each interval: the nodes and their weights, the decay envelope
-# included.  An evaluation multiplies in the modulation at one tau_d (and
-# phi0).  Panels are evaluated in blocks of whole intervals, so the
-# temporaries of one pass stay bounded however fine the panels get.
+# count and order of each interval: the nodes and their weights, the decay
+# envelope included.  An evaluation multiplies in the modulation at one
+# tau_d (and phi0).  Panels are evaluated in blocks of whole intervals of
+# one order, about _BLOCK_NODES nodes each, so the temporaries of one pass
+# stay bounded however fine the panels get.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_GL_X = (_GL_NODES + 1.0) / 2.0  # nodes mapped to [0, 1]
-# panels per block: about one 600-bin model at one panel per piece
-_BLOCK_PANELS = 1024
+_MIN_ORDER, _MAX_ORDER = 4, 12
+
+
+def _log_remainder(n: int) -> float:
+    """log of (n!)^4 / ((2n+1) ((2n)!)^3), the n-node remainder factor."""
+    return 4.0 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3.0 * math.lgamma(2 * n + 1)
+
+
+_LOG_TARGET = (2 * _MAX_ORDER + 1) * math.log(2.0 * math.pi) + _log_remainder(_MAX_ORDER)
+# the largest share r of a cap at which n nodes still meet the target, for
+# n = _MIN_ORDER .. _MAX_ORDER - 1 (0.0165, 0.048, 0.105, ..., 0.790)
+_ORDER_LIMITS = np.array([
+    math.exp((_LOG_TARGET - _log_remainder(n)) / (2 * n + 1)) / (2.0 * math.pi)
+    for n in range(_MIN_ORDER, _MAX_ORDER)
+])
+# nodes per block: about one 600-bin model at one 12-node panel per piece
+_BLOCK_NODES = 12288
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-node Gauss-Legendre rule: nodes mapped to [0, 1] and the
+    weights on [-1, 1].  Built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return (nodes + 1.0) / 2.0, weights
 
 
 def _decay_caps(u_hi: np.ndarray, tau0: float) -> np.ndarray:
@@ -372,6 +402,14 @@ def _panel_counts(gaps: np.ndarray, caps: np.ndarray, tau_d: float) -> np.ndarra
     period pi sqrt(tau_d)."""
     h_max = np.minimum(np.pi * np.sqrt(tau_d), caps)
     return np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h_max).astype(int), 1), 0)
+
+
+def _panel_orders(gaps: np.ndarray, counts: np.ndarray, caps: np.ndarray, tau_d: float) -> np.ndarray:
+    """Gauss-Legendre nodes per panel of each interval: the fewest for which
+    the remainder term at the panel's share r of its cap is within the
+    12-node term at a full cap (see ``_ORDER_LIMITS``)."""
+    r = gaps / (np.maximum(counts, 1) * np.minimum(np.pi * np.sqrt(tau_d), caps))
+    return _MIN_ORDER + np.searchsorted(_ORDER_LIMITS, r)
 
 
 def _square_residual(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -402,16 +440,21 @@ def _suffix_sums(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.append(hi[::-1], 0.0), np.append(lo[::-1], 0.0)
 
 
-def _blocks(counts: np.ndarray):
-    """(start, stop) interval ranges of about _BLOCK_PANELS panels, cut only between intervals."""
-    block = (np.cumsum(counts) - 1) // _BLOCK_PANELS
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(counts)]])
-    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if counts[lo:hi].any()]
+def _blocks(counts: np.ndarray, orders: np.ndarray):
+    """(intervals, order) blocks: intervals with panels of one order, about
+    _BLOCK_NODES nodes each, cut only between intervals."""
+    out = []
+    for order in np.unique(orders[counts > 0]):
+        idx = np.flatnonzero((orders == order) & (counts > 0))
+        block = (np.cumsum(counts[idx]) * order - 1) // _BLOCK_NODES
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(idx)]])
+        out += [(idx[lo:hi], int(order)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return out
 
 
 class _PanelLayout:
     """Panel nodes over u-intervals [u_lo, u_hi], for one tau0 and one set of
-    panel counts.
+    panel counts and orders.
 
     Each interval yields the integral M0 of the unit-n0 rate over tau in
     [u_lo^2, u_hi^2] and, with ``moments``, also L = int (tau - u_lo^2) g
@@ -420,29 +463,30 @@ class _PanelLayout:
     them one block at a time, which bounds the memory of a single large pass.
     """
 
-    def __init__(self, u_lo, u_hi, counts, tau0: float, moments: bool = False, keep: bool = False):
-        self.u_lo, self.u_hi, self.counts, self.tau0 = u_lo, u_hi, counts, tau0
+    def __init__(self, u_lo, u_hi, counts, orders, tau0: float, moments: bool = False, keep: bool = False):
+        self.u_lo, self.u_hi, self.counts, self.orders, self.tau0 = u_lo, u_hi, counts, orders, tau0
         self.moments = moments
-        self._kept = [self._block(*span) for span in _blocks(counts)] if keep else None
+        self._kept = [self._block(*b) for b in _blocks(counts, orders)] if keep else None
 
-    def _block(self, start, stop):
-        """Intervals with panels, their first panels, nodes u and weights (m, panels, 12)."""
-        n = self.counts[start:stop]
-        lo, hi = self.u_lo[start:stop], self.u_hi[start:stop]
-        local = np.repeat(np.arange(stop - start), n)
+    def _block(self, idx, order):
+        """Intervals ``idx`` (all with panels of ``order`` nodes), their first
+        panels, nodes u and weights (m, panels, order)."""
+        n = self.counts[idx]
+        lo, hi = self.u_lo[idx], self.u_hi[idx]
+        local = np.repeat(np.arange(len(idx)), n)
         first = np.cumsum(n) - n
         pos = (np.arange(len(local)) - first[local])[:, None]
-        h = ((hi - lo) / np.maximum(n, 1))[local][:, None]
-        d_lo = (pos + _GL_X) * h  # u - u_lo, free of cancellation
+        h = ((hi - lo) / n)[local][:, None]
+        x, weights = _gauss_legendre(order)
+        d_lo = (pos + x) * h  # u - u_lo, free of cancellation
         u = lo[local][:, None] + d_lo
-        w = _GL_WEIGHTS * h * u * np.exp(-(u * u) / self.tau0)  # dtau = 2 u du
+        w = weights * h * u * np.exp(-(u * u) / self.tau0)  # dtau = 2 u du
         if self.moments:
-            d_hi = (n[local][:, None] - pos - _GL_X) * h  # u_hi - u
+            d_hi = (n[local][:, None] - pos - x) * h  # u_hi - u
             w = np.stack([w, w * d_lo * (u + lo[local][:, None]), w * d_hi * (hi[local][:, None] + u)])
         else:
             w = w[None]
-        live = n > 0
-        return start + np.flatnonzero(live), first[live], u, w
+        return idx, first, u, w
 
     def integrate(self, modulation, k: int = 1) -> np.ndarray:
         """Sums of shape (k, m, intervals) of the weighted unit-n0 rate, m = 3
@@ -452,7 +496,7 @@ class _PanelLayout:
         nodes u = sqrt(tau), each shaped like ``u``.
         """
         sums = np.zeros((k, 3 if self.moments else 1, len(self.counts)))
-        blocks = self._kept if self._kept is not None else (self._block(*s) for s in _blocks(self.counts))
+        blocks = self._kept if self._kept is not None else (self._block(*b) for b in _blocks(self.counts, self.orders))
         for cols, first, u, w in blocks:
             for row, vals in zip(sums, modulation(u)):
                 row[:, cols] = np.add.reduceat(np.einsum("mpn,pn->mp", w, vals), first, axis=-1)
@@ -461,8 +505,9 @@ class _PanelLayout:
 
 def _decay_beat_integrals(u_lo: np.ndarray, u_hi: np.ndarray, p: BeatParams, kernel: str) -> np.ndarray:
     """Integral of the unit-n0 rate over tau in [u_lo^2, u_hi^2], per interval."""
-    counts = _panel_counts(u_hi - u_lo, _decay_caps(u_hi, p.tau0), p.tau_d)
-    layout = _PanelLayout(u_lo, u_hi, counts, p.tau0)
+    gaps, caps = u_hi - u_lo, _decay_caps(u_hi, p.tau0)
+    counts = _panel_counts(gaps, caps, p.tau_d)
+    layout = _PanelLayout(u_lo, u_hi, counts, _panel_orders(gaps, counts, caps, p.tau_d), p.tau0)
     return layout.integrate(lambda u: (_beat_factor(u / np.sqrt(p.tau_d), p, kernel),))[0, 0]
 
 
@@ -472,7 +517,7 @@ class _BinModel:
     background term.
 
     With ``reuse`` it keeps one panel layout over the pieces and rebuilds
-    it only when a new tau_d changes the panel counts.  The layout keeps
+    it only when a new tau_d changes the panel counts or orders.  The layout keeps
     its nodes when every piece has at most one panel, the coarsest layout
     these edges allow; the finer ones that a small tau_d needs are rebuilt
     block by block on each pass, so the memory a fit holds stays that of
@@ -517,11 +562,12 @@ class _BinModel:
     def _sums(self, tau_d: float, modulation, k: int = 1) -> np.ndarray:
         """(k, bins) unit-n0 expected counts for k modulation factors."""
         counts = _panel_counts(self.gaps, self.caps, tau_d)
+        orders = _panel_orders(self.gaps, counts, self.caps, tau_d)
         layout = self._layout
-        if layout is None or not np.array_equal(counts, layout.counts):
+        if layout is None or not (np.array_equal(counts, layout.counts) and np.array_equal(orders, layout.orders)):
             self._layout = layout = None  # free the old nodes before building new ones
             keep = self.reuse and counts.max() <= 1
-            layout = _PanelLayout(self.u[:-1], self.u[1:], counts, self.tau0, moments=True, keep=keep)
+            layout = _PanelLayout(self.u[:-1], self.u[1:], counts, orders, self.tau0, moments=True, keep=keep)
             if self.reuse:
                 self._layout = layout
         out, n = [], len(self.lvl)

@@ -2,13 +2,15 @@
 
 One file drives every subcommand.  Parsing is strict: keys outside the
 schema are rejected with their full dotted path, so typos never silently
-fall back to defaults.  Section builders return the validated domain
-objects; value errors surface from the domain types themselves.
+fall back to defaults.  Section builders check each value's JSON type,
+naming its dotted key in a ``ConfigError``, and return the validated
+domain objects; range errors surface from the domain types themselves.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -20,28 +22,55 @@ from .fitting import FitConfig
 from .geometry import LatticeSpec, TriGammaGeometry, bragg_angle_solve, build_trigamma
 from .lamb import DisplacementEnsemble
 
-# schema: nested dict of allowed keys; leaves are None
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+# leaf types: (what the value must be, its test)
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_NUMBERS = ("a list of numbers", lambda v: _is_list(v, _is_number))
+_STRINGS = ("a list of strings", lambda v: _is_list(v, lambda x: isinstance(x, str)))
+_BOUNDS = ("an object of [lo, hi] number pairs",
+           lambda v: isinstance(v, dict) and all(_is_list(b, _is_number) and len(b) == 2 for b in v.values()))
+_OPTIONAL_NUMBER = ("a number or null", lambda v: v is None or _is_number(v))
+
+# schema: nested dict of allowed keys; leaves are their types
 _SCHEMA = {
     "rhodium": {
-        "tau0": None, "gamma_energy": None, "depth_photoelectric": None,
-        "depth_nuclear": None, "expansion_coeff": None, "specific_heat": None,
-        "density": None, "lattice_constant": None, "sample_dims": None,
-        "stored_energy": None,
+        "tau0": _NUMBER, "gamma_energy": _NUMBER, "depth_photoelectric": _NUMBER,
+        "depth_nuclear": _NUMBER, "expansion_coeff": _NUMBER, "specific_heat": _NUMBER,
+        "density": _NUMBER, "lattice_constant": _NUMBER, "sample_dims": _NUMBERS,
+        "stored_energy": _NUMBER,
     },
-    "lattice": {"channel_axis": None, "g_shell_cutoff": None},
-    "geometry": {"theta_rad": None},
-    "ensemble": {"model": None, "sigma": None, "n_samples": None, "seed": None},
-    "flm": {"estimator": None},
-    "beat": {"n0": None, "tau0": None, "tau_d": None, "phi0": None,
-             "t_pump": None, "background": None, "kernel": None},
-    "kalpha_scale": None,
-    "binning": {"width_s": None, "horizon_s": None},
-    "seed": None,
-    "fieldmap": {"center": None, "extent_cells": None, "n": None},
-    "beat_grid": {"t_start_s": None, "t_stop_s": None, "n": None},
-    "fit": {"free_params": None, "bounds": None},
-    "outputs": {"gamma_csv": None, "kalpha_csv": None},
+    "lattice": {"channel_axis": _NUMBERS, "g_shell_cutoff": _INTEGER},
+    "geometry": {"theta_rad": _OPTIONAL_NUMBER},
+    "ensemble": {"model": _STRING, "sigma": _NUMBER, "n_samples": _INTEGER, "seed": _INTEGER},
+    "flm": {"estimator": _STRING},
+    "beat": {"n0": _NUMBER, "tau0": _NUMBER, "tau_d": _NUMBER, "phi0": _NUMBER,
+             "t_pump": _NUMBER, "background": _NUMBER, "kernel": _STRING},
+    "kalpha_scale": _NUMBER,
+    "binning": {"width_s": _NUMBER, "horizon_s": _NUMBER},
+    "seed": _INTEGER,
+    "fieldmap": {"center": _NUMBERS, "extent_cells": _NUMBER, "n": _INTEGER},
+    "beat_grid": {"t_start_s": _NUMBER, "t_stop_s": _NUMBER, "n": _INTEGER},
+    "fit": {"free_params": _STRINGS, "bounds": _BOUNDS},
+    "outputs": {"gamma_csv": _STRING, "kalpha_csv": _STRING},
 }
+
+
+def _typed(where: str, value, leaf):
+    """``value`` if it has the type of schema ``leaf``, else a ConfigError naming ``where``."""
+    what, ok = leaf
+    if not ok(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
 
 
 def _check_keys(data, schema, path=""):
@@ -88,16 +117,22 @@ class RunConfig:
             schema = schema[part]
         if not isinstance(schema, dict) or parts[-1] not in schema:
             raise ConfigError(f"unknown config key {dotted!r}")
+        if isinstance(schema[parts[-1]], dict):
+            _check_keys(value, schema[parts[-1]], dotted)
         node = self._data
         for part in parts[:-1]:
             node = node.setdefault(part, {})
         node[parts[-1]] = value
 
     def _section(self, name) -> dict:
-        return dict(self._data.get(name, {}))
+        """The section's keys, each checked against its schema type."""
+        return {key: _typed(f"{name}.{key}", value, _SCHEMA[name][key])
+                for key, value in self._data.get(name, {}).items()}
 
     def scalar(self, name, default):
-        return self._data.get(name, default)
+        if name not in self._data:
+            return default
+        return _typed(name, self._data[name], _SCHEMA[name])
 
     def rhodium(self) -> RhodiumParams:
         kw = self._section("rhodium")
@@ -147,7 +182,7 @@ class RunConfig:
             raise ConfigError(f"binning section needs {exc.args[0]!r}") from exc
 
     def seed(self) -> int:
-        return int(self._data.get("seed", 0))
+        return int(self.scalar("seed", 0))
 
     def fieldmap(self) -> tuple[np.ndarray, float, int]:
         fm = self._section("fieldmap")

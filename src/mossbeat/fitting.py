@@ -321,17 +321,50 @@ def _qr_pieces(cols, y):
 
 def _phase_profile(pieces, lin, coef, lo, hi):
     """profile(phases): the chi2 at each of a (rows, trials) array of phases,
-    one row per tau_d in ``pieces``, with n0 and background solved by
+    one row per tau_d in ``pieces``, with n0 and background solved as by
     ``_bounded_lstsq`` (free where listed in ``lin``, within [lo, hi]).
     Each row is computed on its own, so a row's values do not depend on
-    which rows are stacked with it."""
+    which rows are stacked with it.  What depends on the row alone (the
+    fixed background's share of the data, the background column's norm) is
+    computed once per search; with at most one free coefficient it is
+    solved directly, with every residual formed as t - n0 a - background c
+    in that order, so each value is the double ``_bounded_lstsq`` gives."""
     r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
+    t, c, rest = y_proj[:, None, :], r_cols[:, None, :, 3], rest[:, None]
+
+    def model(phases):
+        v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
+        return np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
+
+    def dot(u, v):
+        return (u * v).sum(axis=-1)
+
+    def best(col, den, r):
+        """The coefficient of ``col`` minimising |r - x col|^2, within its bounds."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(den > 0.0, dot(col, r) / den, 0.0)
+        return np.clip(x, lo[0], hi[0])
+
+    if len(lin) == 2:
+        return lambda phases: _bounded_lstsq(model(phases), c, t, lin, coef, lo, hi)[2] + rest
+    n0, background = coef
+    if lin == [1]:  # background free, n0 fixed
+        cc = dot(c, c)
+
+        def profile(phases):
+            r = t - n0 * model(phases)
+            r = r - best(c, cc, r)[..., None] * c
+            return dot(r, r) + rest
+
+        return profile
+    bg_c = background * c
+    t_bg = t - bg_c
 
     def profile(phases):
-        v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
-        model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
-        ss = _bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lo, hi)[2]
-        return ss + rest[:, None]
+        a = model(phases)
+        x = best(a, dot(a, a), t_bg)[..., None] if lin else n0
+        r = t - x * a - bg_c
+        return dot(r, r) + rest
 
     return profile
 
@@ -445,15 +478,21 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             return np.full(len(pieces), base.phi0), profile(np.full((len(pieces), 1), base.phi0))[:, 0]
         return _zoom_min(profile, len(pieces), phase_lo, phase_hi, periodic)
 
-    def fit_at(tau, derivs=False):
-        """One panel pass at tau_d and the best phase, n0 and background there."""
-        cols, pieces = evaluate(tau, derivs)
-        phases, chis = solve([pieces])
-        phase = float(phases[0])
+    def fit_at(tau, derivs=False, known=None):
+        """One panel pass at tau_d and the best phase, n0 and background there.
+        ``known`` is the (phase, chi2) the screen found at this tau_d from
+        the same columns, which the pass then does not search again."""
+        if known is None:
+            cols, pieces = evaluate(tau, derivs)
+            phases, chis = solve([pieces])
+            known = phases[0], chis[0]
+        else:
+            cols = data.columns(float(tau), derivs)
+        phase, chi = float(known[0]), float(known[1])
         c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
         unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
         n0, background, _ = _bounded_lstsq(unit, cols[:, 3], data.y, lin, coef, lin_lo, lin_hi)
-        return _Point(float(tau), float(chis[0]), phase, float(n0), float(background), cols, unit)
+        return _Point(float(tau), chi, phase, float(n0), float(background), cols, unit)
 
     def residuals(pt):
         return data.y - pt.n0 * pt.unit - pt.background * pt.cols[:, 3]
@@ -516,7 +555,8 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             # bracket of its neighbours, on lattice points of log10 tau_d
             lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
             k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
-            final = pt = fit_at(tau, True)
+            # the pass's D and S are the screen's bit for bit, so its phase stands
+            final = pt = fit_at(tau, True, known=(phases[best], chis[best]))
             z, tried = z_grid[best], {}
 
             def lattice(k, derivs=False):

@@ -19,7 +19,15 @@ from mossbeat import (
     kalpha_bin_expected,
     tau_d,
 )
-from mossbeat.beat import _BinModel, _panel_counts
+from mossbeat.beat import (
+    _MIN_ORDER,
+    _ORDER_LIMITS,
+    _BinModel,
+    _decay_caps,
+    _gauss_legendre,
+    _panel_counts,
+    _panel_orders,
+)
 
 
 def j0_integral_oracle(x):
@@ -239,6 +247,25 @@ def test_beat_curve_grid_checks():
         beat_curve(p, [0.0, 0.0])
     with pytest.raises(DomainError):
         beat_curve(p, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("kernel", ["cos2", "j0sq"])
+@pytest.mark.parametrize("seed", [0, 2, 6])
+def test_beat_curve_mixed_orders_match_pointwise(seed, kernel):
+    # random grids from t = 0 to 1e6 s give intervals from many caps wide
+    # to a tiny share of one, so several panel orders occur in one curve;
+    # each point's order comes from its own interval, so every point equals
+    # its one-point integral bit for bit
+    rng = np.random.default_rng(seed)
+    p = BeatParams(n0=1.0, tau0=10 ** rng.uniform(1.0, 4.5), tau_d=10 ** rng.uniform(-2.0, 5.0),
+                   phi0=rng.uniform(0.0, np.pi), t_pump=10 ** rng.uniform(0.0, 3.5))
+    grid = np.unique(np.concatenate([[0.0], 10 ** rng.uniform(-3.0, 6.0, 40)]))
+    u_lo, u_hi = np.sqrt(grid), np.sqrt(grid + p.t_pump)
+    gaps, caps = u_hi - u_lo, _decay_caps(u_hi, p.tau0)
+    orders = _panel_orders(gaps, _panel_counts(gaps, caps, p.tau_d), caps, p.tau_d)
+    assert len(np.unique(orders)) >= 3  # premise: the orders mix
+    for t, val in beat_curve(p, grid, kernel):
+        assert val == accumulated_intensity(t, p, kernel)
 
 
 # -------------------------------------------------------------- beat_minima
@@ -515,3 +542,31 @@ def test_bin_expected_counts_edge_validation():
         bin_expected_counts(p, [-1.0, 1.0])
     with pytest.raises(DomainError):
         bin_expected_counts(p, [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("order", range(_MIN_ORDER, 12))
+def test_panel_order_limits_integrate_exp_within_full_cap_error(order):
+    # one panel of each order at its limit share r of a cap (one period of
+    # exp(i x), w = 1) against the closed form; its remainder term there is
+    # the 12-node term at a full cap, about 8e-19, so what is left is the
+    # panel's own rounding, within the 12-node error over a full period.
+    # A limit twice too wide leaves 9 to 2300 eps of the panel's width.
+    eps = np.finfo(float).eps
+    limit = _ORDER_LIMITS[order - _MIN_ORDER]
+
+    def error(n, h, a):
+        x, w = _gauss_legendre(n)
+        nodes = a + h * x
+        got_cos, got_sin = h / 2 * np.dot(w, np.cos(nodes)), h / 2 * np.dot(w, np.sin(nodes))
+        half = 2.0 * math.sin(h / 2)
+        return math.hypot(got_cos - half * math.cos(a + h / 2), got_sin - half * math.sin(a + h / 2))
+
+    for a in (0.0, 0.37, 2.0):
+        full = error(12, 2.0 * math.pi, a)
+        h = 2.0 * math.pi * limit
+        assert error(order, h, a) <= min(full, 4.0 * eps * h)
+    # the engine gives a panel at its limit this order, and one just past it one more
+    period = math.pi * math.sqrt(485.7)
+    shares = np.array([limit * (1.0 - 1e-9), limit * (1.0 + 1e-9)])
+    got = _panel_orders(shares * period, np.ones(2, dtype=int), np.full(2, np.inf), 485.7)
+    assert got.tolist() == [order, order + 1]

@@ -287,3 +287,26 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "estimate"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("name,value")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["estimate", "--set", "rhodium.tau0=abc"], "rhodium.tau0"),
+    (["beat", "--set", 'beat.n0="x"'], "beat.n0"),
+    (["simulate", "--set", "binning.width_s=[1]"], "binning.width_s"),
+    (["flm", "--set", "ensemble.n_samples=1.5"], "ensemble.n_samples"),
+    (["fit", "--data", "DATA", "--set", "fit.free_params=3"], "fit.free_params"),
+    (["beat", "--set", "beat_grid.n=abc"], "beat_grid.n"),
+    (["fieldmap", "--set", "fieldmap.n=[2]"], "fieldmap.n"),
+], ids=["estimate", "beat", "simulate", "flm", "fit", "beat_grid", "fieldmap"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, argv, key):
+    # a value of the wrong JSON type is a configuration error naming its key,
+    # not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DATA").write_text("t_start_s,width_s,counts,channel\n0,1,3,gamma\n1,1,2,gamma\n")
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DATA"]

@@ -7,6 +7,7 @@ from mossbeat import (
     BeatParams,
     ConfigError,
     DisplacementEnsemble,
+    DomainError,
     FitConfig,
     LatticeSpec,
     RhodiumParams,
@@ -111,3 +112,28 @@ def test_fieldmap_builder():
     assert np.array_equal(center, [1e-10, 0.0, 0.0])
     assert extent == 3.0
     assert n == 11
+
+
+def test_section_values_type_checked():
+    # a wrong JSON type names its dotted key; a range error stays the
+    # domain type's own
+    for data, key in (
+        ({"beat": {"tau_d": "485.7"}}, "beat.tau_d"),
+        ({"beat": {"phi0": True}}, "beat.phi0"),
+        ({"lattice": {"g_shell_cutoff": 4.0}}, "lattice.g_shell_cutoff"),
+        ({"fit": {"bounds": {"tau_d": [1.0]}}}, "fit.bounds"),
+        ({"seed": "7"}, "seed"),
+    ):
+        cfg = RunConfig(data)
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            {"beat": cfg.beat, "lattice": cfg.lattice, "fit": cfg.fit, "seed": cfg.seed}[key.split(".")[0]]()
+    with pytest.raises(DomainError):
+        RunConfig({"beat": {"tau_d": -1.0}}).beat()
+
+
+def test_set_path_section_must_be_object():
+    cfg = RunConfig.default()
+    with pytest.raises(ConfigError, match="section beat"):
+        cfg.set_path("beat", 3)
+    with pytest.raises(ConfigError, match="beat.wobble"):
+        cfg.set_path("beat", {"wobble": 1})

@@ -518,3 +518,51 @@ def test_zoom_min_rows_independent_of_stacking():
         for i, one in enumerate(pieces):
             alone = fitting._zoom_min(fitting._phase_profile([one], lin, coef, lo, hi), 1, *bounds)
             assert (alone[0][0], alone[1][0]) == (phases[i], values[i])
+
+
+def test_screen_skip_keeps_a_point_within_the_bound(monkeypatch):
+    # the screen skips a point only when its rest is above the tie limit of
+    # the first searched chi2 (100 here); a point whose rest, and chi2, is
+    # 5e-5 below that chi2 must still be searched, and it wins.  The QR
+    # pieces and the phase profile are stood in for: a point's pieces carry
+    # its chi2 and rest, in grid order, and the polish's points all lose.
+    gamma, _, cfg = _criterion11_seed1000()
+    _, taus = fitting._tau_grid(cfg.bounds["tau_d"])
+    first, other = 10, 40
+    chis, rests = np.full(len(taus), 200.0), np.full(len(taus), 200.0)
+    chis[first], rests[first] = 100.0, 50.0
+    chis[other] = rests[other] = 100.0 - 5e-5
+    calls = []
+
+    def fake_pieces(cols, y):
+        i = len(calls)
+        calls.append(i)
+        return (None, chis[i], rests[i]) if i < len(taus) else (None, 1e9, 1e9)
+
+    def fake_profile(pieces, lin, coef, lo, hi):
+        scores = np.array([p[1] for p in pieces])
+        return lambda phases: scores[:, None] + 0.0 * phases
+
+    monkeypatch.setattr(fitting, "_qr_pieces", fake_pieces)
+    monkeypatch.setattr(fitting, "_phase_profile", fake_profile)
+    (screen,) = fit_beat(gamma, cfg).starts
+    assert (screen.tau_d, screen.chi2) == (taus[other], chis[other])
+
+
+@pytest.mark.parametrize("lin", [[], [0], [1], [0, 1]], ids=["none", "n0", "background", "both"])
+@pytest.mark.parametrize("background", [0.0, 0.3])
+def test_phase_profile_matches_bounded_lstsq(lin, background):
+    # with at most one free coefficient the profile solves it directly; it
+    # must give _bounded_lstsq's values bit for bit, stacked rows included
+    gamma, _, cfg = _criterion11_seed1000()
+    data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
+    pieces = [fitting._qr_pieces(data.columns(tau), data.y) for tau in (30.0, 485.7, 1e6)]
+    coef = (3.7, background)
+    lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
+    phases = np.linspace(0.0, np.pi, 64) + np.array([[0.0], [0.01], [0.02]])
+    r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
+    v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
+    model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
+    ref = fitting._bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lo, hi)[2]
+    got = fitting._phase_profile(pieces, lin, coef, lo, hi)(phases)
+    assert np.array_equal(got, ref + rest[:, None])
