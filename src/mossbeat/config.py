@@ -4,7 +4,9 @@ One file drives every subcommand.  Parsing is strict: keys outside the
 schema are rejected with their full dotted path, so typos never silently
 fall back to defaults.  Section builders check each value's JSON type,
 naming its dotted key in a ``ConfigError``, and return the validated
-domain objects; range errors surface from the domain types themselves.
+domain objects.  Range errors are ``DomainError``: from the domain types
+themselves, or from the builders of ``beat_grid`` and ``fieldmap``,
+which have none.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .beat import BeatParams
 from .constants import RhodiumParams, photon_wavenumber
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fitting import FitConfig
 from .geometry import LatticeSpec, TriGammaGeometry, bragg_angle_solve, build_trigamma
 from .lamb import DisplacementEnsemble
@@ -192,7 +194,7 @@ class RunConfig:
         if center.shape != (3,):
             raise ConfigError("fieldmap.center must be a 3-vector")
         if extent <= 0.0 or n < 2:
-            raise ConfigError("fieldmap needs extent_cells > 0 and n >= 2")
+            raise DomainError("fieldmap needs extent_cells > 0 and n >= 2")
         return center, extent, n
 
     def beat_grid(self) -> np.ndarray:
@@ -202,7 +204,7 @@ class RunConfig:
         except KeyError as exc:
             raise ConfigError(f"beat_grid section needs {exc.args[0]!r}") from exc
         if not (t0 >= 0.0 and t1 > t0 and n >= 2):
-            raise ConfigError("beat_grid needs 0 <= t_start_s < t_stop_s and n >= 2")
+            raise DomainError("beat_grid needs 0 <= t_start_s < t_stop_s and n >= 2")
         return np.linspace(t0, t1, n)
 
     def fit(self) -> FitConfig:

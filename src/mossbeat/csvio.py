@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 import io
+import itertools
 import math
 import warnings
 
@@ -40,10 +41,11 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 def write_count_series(series: CountSeries, path) -> None:
     """Write a count series; one row per bin, fixed header."""
-    rows = zip(series.t_start.tolist(), series.width.tolist(), series.counts.tolist())
+    channel = series.channel
+    rows = zip(series.t_start.tolist(), _width_fields(series.width), series.counts.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COUNT_HEADER) + "\n")
-        fh.writelines(f"{t!r},{w!r},{c},{series.channel}\n" for t, w, c in rows)
+        fh.writelines(f"{t!r},{w},{c},{channel}\n" for t, w, c in rows)
 
 
 def read_count_series(path) -> CountSeries:
@@ -58,10 +60,19 @@ def read_count_series(path) -> CountSeries:
 def write_ratio_series(series: RatioSeries, path) -> None:
     """Write a ratio series to a file path or an open text stream (such as
     ``sys.stdout``); invalid bins become NaN ratio and sigma."""
-    rows = zip(series.t_start.tolist(), series.width.tolist(), series.ratio.tolist(), series.sigma.tolist())
+    rows = zip(series.t_start.tolist(), _width_fields(series.width), series.ratio.tolist(), series.sigma.tolist())
     with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
         fh.write(",".join(RATIO_HEADER) + "\n")
-        fh.writelines(f"{t!r},{w!r},{r!r},{s!r}\n" for t, w, r, s in rows)
+        fh.writelines(f"{t!r},{w},{r!r},{s!r}\n" for t, w, r, s in rows)
+
+
+def _width_fields(width: np.ndarray):
+    """The ``repr`` of each width.  Widths are positive and finite, so equal
+    widths have one ``repr``; a uniform column, as ``simulate_counts`` and
+    ``rebin`` give, is formatted once."""
+    if len(width) and (width == width[0]).all():
+        return itertools.repeat(repr(float(width[0])), len(width))
+    return map(repr, width.tolist())
 
 
 def read_ratio_series(path) -> RatioSeries:

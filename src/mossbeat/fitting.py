@@ -18,12 +18,17 @@ rule the point out (see ``fit_beat``).  The fit then polishes the best
 grid point by safeguarded Gauss-Newton steps in log10 tau_d (Kaufman,
 BIT 15, 1975), whose exact derivative columns come from the same panel
 pass; the final tau_d is chosen by comparing chi2 on a fixed lattice in
-log10 tau_d.  The screen's unit-n0 columns depend only on the bin edges,
-tau0, t_pump and the tau_d grid, so they are kept for the last binning
-fitted in the process: repeated fits on one binning screen without a
-panel pass.  That holds 2 x grid x bins doubles, about 0.6 MB for 61
-grid points and 600 bins and 59 MB at 60 000 bins, until a full screen
-on another binning replaces them.
+log10 tau_d.  What depends only on the bin edges, tau0 and t_pump is
+kept in one slot for the last binning screened in the process: the
+binned model with its panel layout (about 0.2 MB at 600 bins, 18 MB at
+60 000), the screen's unit-n0 columns for its tau_d grid (2 x grid x bins
+doubles: 0.6 MB for 61 grid points and 600 bins, 59 MB at 60 000) and
+the derivative pass at the last best grid point (4 x bins doubles: 19 KB
+at 600 bins, 1.9 MB at 60 000).  Repeated fits on one binning then
+screen without a panel pass and build no model, until a full screen on
+another binning replaces the slot.  The screen weights its points by
+the data in stacks of about 4096 rows (6 points at 600 bins), not one by
+one.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +63,16 @@ _DEFAULT_BOUNDS = {
 # which end at a step of about 1.5e-9 rad (see _zoom_min).  The chi2
 # comparisons that pick tau_d and phi0 are decided by more than rounding on
 # noiseless data, so that data rescaled by a constant give the same tau_d
-# and phi0 bit for bit.
+# and phi0 bit for bit.  Stacks: the rows (points x kept bins) the screen
+# weights at once; a stack's columns then take about 100 KB, which stays in
+# cache (all 61 points at once, 1.2 MB at 600 bins, ran slower).
 _GRID_PER_DECADE = 4
 _Z_STEP = 2.0**-28
 _NEWTON_STEPS = 8
 _WINDOW = 2
 _PHASE_TRIALS = 64
 _PHASE_LEVELS = 6
+_STACK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -182,14 +191,23 @@ class _WeightedSeries:
         self.evaluations = 0
 
     @cached_property
+    def key(self) -> tuple:
+        """What the binned model depends on: the edges' bytes, tau0 and t_pump."""
+        return self.edges.tobytes(), float(self.tau0), float(self.t_pump)
+
+    @cached_property
     def model(self) -> _BinModel:
+        """The slot's model when the slot holds this binning, else a new one."""
+        slot = _screen_slot
+        if slot is not None and slot.key == self.key:
+            return slot.model
         return _BinModel(self.edges, self.tau0, self.t_pump, reuse=True)
 
     def columns(self, tau_d: float, derivs: bool = False, phase=None) -> np.ndarray:
         """(bins, 4) columns K/2, D and S of the unit-n0 model at tau_d, and
         the unit background; with ``derivs`` also dD/dtau_d and dS/dtau_d,
-        as (bins, 6).  ``phase`` supplies the pass's unweighted (D, S) over
-        all bins when they are already known (from the screen's cache);
+        as (bins, 6).  ``phase`` supplies the pass's unweighted columns over
+        all bins when they are already known (the slot's derivative pass);
         they still count as one evaluation."""
         self.evaluations += 1
         if phase is None:
@@ -197,11 +215,41 @@ class _WeightedSeries:
         phase = [c[self.keep] / self.denom / self.sig for c in phase]
         return np.column_stack([self.half_k, *phase[:2], self.background, *phase[2:]])
 
+    def stacked_columns(self, phase) -> np.ndarray:
+        """The (bins, 4) ``columns`` at each of a stack of tau_d, shape
+        (points, bins, 4), from their unweighted (D, S) over all bins,
+        shape (points, 2, all bins); each point counts as one evaluation."""
+        self.evaluations += len(phase)
+        cols = np.empty((len(phase), 4, len(self.y)))
+        cols[:, 0], cols[:, 3] = self.half_k, self.background
+        phase_cols = cols[:, 1:3]
+        phase_cols[:] = phase[:, :, self.keep]
+        phase_cols /= self.denom
+        phase_cols /= self.sig
+        return np.swapaxes(cols, 1, 2)
 
-# (key, columns) of the last binning screened: the key is the edges' bytes,
-# tau0, t_pump and the grid's bytes, the columns are the read-only unit-n0
-# (D, S) of every grid tau_d over all bins, shape (grid, 2, bins).  Nothing
-# derived from the data (kept bins, sigma, denominator) goes in.
+
+class _Slot(NamedTuple):
+    """What a fit computes from one binning alone, kept for the next fit on it.
+
+    ``key`` is ``_WeightedSeries.key``; ``model`` the ``_BinModel`` with its
+    kept panel layout; ``columns`` the read-only unit-n0 (D, S) of every
+    screen tau_d over all bins, shape (grid, 2, bins), for the grid whose
+    bytes are ``grid``; ``deriv`` the read-only derivative pass
+    ``model.phase_columns(deriv_tau, True)`` at the last best grid point,
+    or None.  Nothing derived from the data (kept bins, sigma, denominator)
+    goes in.
+    """
+
+    key: tuple
+    columns: np.ndarray
+    grid: bytes
+    model: _BinModel
+    deriv_tau: float | None = None
+    deriv: tuple[np.ndarray, ...] | None = None
+
+
+# the slot of the last binning screened, or None
 _screen_slot = None
 
 
@@ -216,21 +264,36 @@ def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     return z_grid, taus
 
 
-def _screen_columns(data: _WeightedSeries, taus: np.ndarray) -> np.ndarray:
-    """The unit-n0 phase columns at each of ``taus`` for ``data``'s binning,
-    from the slot or, on a miss, from one panel pass per tau_d."""
+def _screen(data: _WeightedSeries, taus: np.ndarray) -> _Slot:
+    """The slot for ``data``'s binning, holding the screen columns at each of
+    ``taus``: kept, or, on a miss, a new slot whose columns take one panel
+    pass per tau_d; it keeps the old slot's model when the binning is the
+    same (another grid)."""
     global _screen_slot
-    key = (data.edges.tobytes(), float(data.tau0), float(data.t_pump), taus.tobytes())
-    slot = _screen_slot
-    if slot is not None and slot[0] == key:
-        return slot[1]
+    slot, grid = _screen_slot, taus.tobytes()
+    if slot is not None and slot.key == data.key and slot.grid == grid:
+        return slot
+    model = data.model  # the slot's when it holds this binning
     _screen_slot = slot = None  # free the old columns before computing new ones
     cols = np.empty((len(taus), 2, len(data.edges) - 1))
     for row, tau in zip(cols, taus):
-        row[:] = data.model.phase_columns(float(tau))
+        row[:] = model.phase_columns(float(tau))
     cols.setflags(write=False)
-    _screen_slot = (key, cols)
-    return cols
+    _screen_slot = slot = _Slot(data.key, cols, grid, model)
+    return slot
+
+
+def _derivative_pass(tau: float) -> tuple[np.ndarray, ...]:
+    """The slot's read-only derivative pass at grid tau_d ``tau``: kept, or
+    made now and kept in place of the one before."""
+    global _screen_slot
+    slot = _screen_slot
+    if slot.deriv_tau != tau:
+        cols = slot.model.phase_columns(tau, True)
+        for c in cols:
+            c.setflags(write=False)
+        _screen_slot = slot = slot._replace(deriv_tau=tau, deriv=cols)
+    return slot.deriv
 
 
 @dataclass(frozen=True)
@@ -438,17 +501,22 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     their bounds projected out.  A step that leaves the bracket, meets
     zero curvature (n0 = 0, say) or does not lower chi2 gives way to
     bisection of the bracket.  Every step lands on a lattice of spacing
-    2^-28 in z, and the final point is the lattice point of least chi2
+    2^-28 in z.  A target that rounds to the current point ends the
+    steps; one that rounds to another point already tried (a rejected
+    step's, whose target the next step repeats) gives way to bisection
+    too.  The final point is the lattice point of least chi2
     found by comparison within 2 lattice steps of the best one the steps
     reached; the grid point is kept unless that point does better, so a
     fit that ends on a bound returns the bound exactly.  A fit with
     default bounds thus takes 61 screen evaluations and at most 14 more.
-    The screen's columns are kept for the last binning fitted (edges,
-    tau0, t_pump and grid; 2 x grid x bins doubles), so a further fit on
-    that binning makes only the polish's panel passes; its screen points
-    still count as evaluations, and its result is bit for bit that of a
-    fit with an empty cache.  A fit with tau_d fixed makes its one screen
-    pass directly and leaves the kept columns alone.
+    The binned model, the screen's columns and the derivative pass at the
+    best grid point are kept in the slot of the last binning screened
+    (edges, tau0 and t_pump; the columns also by grid), so a further fit
+    on that binning builds no model and makes only the polish's other
+    panel passes; kept passes still count as evaluations, and its result
+    is bit for bit that of a fit with an empty slot.  A fit with tau_d
+    fixed uses the slot's model when it holds the binning, makes its one
+    screen pass directly and never replaces the slot.
     When the phi0 bounds span at least pi, the period of the model, the
     phase is searched unbounded and reported in [lo, lo + pi); narrower
     bounds are enforced.  The covariance is Gauss-Newton, with exact
@@ -466,9 +534,9 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     phase_lo, phase_hi = bounds["phi0"]
     periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
-    def evaluate(tau, derivs=False, phase=None):
+    def evaluate(tau, derivs=False):
         """The model columns at tau_d and their QR pieces."""
-        cols = data.columns(float(tau), derivs, phase)
+        cols = data.columns(float(tau), derivs)
         return cols, _qr_pieces(cols, data.y)
 
     def solve(pieces):
@@ -481,13 +549,14 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     def fit_at(tau, derivs=False, known=None):
         """One panel pass at tau_d and the best phase, n0 and background there.
         ``known`` is the (phase, chi2) the screen found at this tau_d from
-        the same columns, which the pass then does not search again."""
+        the same columns, which the pass then does not search again, and
+        the pass's kept unweighted columns (see ``_WeightedSeries.columns``)."""
         if known is None:
             cols, pieces = evaluate(tau, derivs)
             phases, chis = solve([pieces])
             known = phases[0], chis[0]
         else:
-            cols = data.columns(float(tau), derivs)
+            cols = data.columns(float(tau), derivs, known[2])
         phase, chi = float(known[0]), float(known[1])
         c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
         unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
@@ -530,7 +599,10 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         # screen: the exact-phase profile chi2(tau_d) on a log grid
         if "tau_d" in free:
             z_grid, taus = _tau_grid(bounds["tau_d"])
-            pieces = [evaluate(t, phase=p)[1] for t, p in zip(taus, _screen_columns(data, taus))]
+            slot = _screen(data, taus)
+            step = max(1, _STACK_ROWS // len(data.y))  # points per stack
+            pieces = [_qr_pieces(cols, data.y) for i in range(0, len(taus), step)
+                      for cols in data.stacked_columns(slot.columns[i:i + step])]
         else:  # one point: a direct pass, which leaves the slot to full screens
             taus = np.array([base.tau_d])
             pieces = [evaluate(base.tau_d)[1]]
@@ -555,8 +627,9 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             # bracket of its neighbours, on lattice points of log10 tau_d
             lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
             k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
-            # the pass's D and S are the screen's bit for bit, so its phase stands
-            final = pt = fit_at(tau, True, known=(phases[best], chis[best]))
+            # the pass's D and S are the screen's bit for bit, so its phase
+            # stands; the pass itself is the slot's, made once per binning
+            final = pt = fit_at(tau, True, known=(phases[best], chis[best], _derivative_pass(tau)))
             z, tried = z_grid[best], {}
 
             def lattice(k, derivs=False):
@@ -574,7 +647,9 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
                 if not lo < target < hi:  # also when nan: bisect the bracket
                     target = 0.5 * (lo + hi)
                 k = min(max(round(target / _Z_STEP), k_lo), k_hi)
-                if k in tried:
+                if k in tried and tried[k] is not pt:  # a point already tried: bisect
+                    k = min(max(round(0.5 * (lo + hi) / _Z_STEP), k_lo), k_hi)
+                if k in tried:  # converged on the current point, or nothing left to try
                     break
                 if lattice(k, True).chi < pt.chi:
                     z, pt = k * _Z_STEP, tried[k]

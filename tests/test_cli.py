@@ -310,3 +310,27 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, argv,
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["DATA"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["beat", "--set", "beat_grid.n=1"],
+    ["beat", "--set", "beat_grid.t_stop_s=-1"],
+    ["beat", "--set", "beat_grid.t_start_s=-1"],
+    ["fieldmap", "--set", "fieldmap.extent_cells=-1"],
+    ["fieldmap", "--set", "fieldmap.n=1"],
+    ["beat", "--set", "beat.tau0=-5"],
+], ids=["beat_grid.n", "beat_grid.t_stop_s", "beat_grid.t_start_s", "fieldmap.extent_cells", "fieldmap.n",
+        "beat.tau0"])
+def test_config_value_out_of_range_exits_1(capsys, argv):
+    # a well-typed value outside its range is a domain error, whichever
+    # section it sits in
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fieldmap_center_of_wrong_shape_exits_2(capsys):
+    assert run_cli(["fieldmap", "--set", "fieldmap.center=[1.0, 2.0]"]) == 2
+    assert capsys.readouterr().err == "error: fieldmap.center must be a 3-vector\n"

@@ -1,4 +1,5 @@
 import csv
+import io
 import warnings
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import pytest
 from mossbeat import (
     BeatParams,
     CountSeries,
+    RatioSeries,
     StructuralError,
     normalize,
     read_count_series,
@@ -153,6 +155,73 @@ def test_ratio_header(tmp_path):
     write_ratio_series(normalize(gamma, kalpha), path)
     assert path.read_text().splitlines()[0] == "t_start_s,width_s,ratio,sigma"
 
+
+
+def _per_row_count_text(series):
+    """The count file as formatted row by row, each width by its own repr."""
+    rows = zip(series.t_start.tolist(), series.width.tolist(), series.counts.tolist())
+    return "".join([",".join(COUNT_HEADER) + "\n"] + [f"{t!r},{w!r},{c},{series.channel}\n" for t, w, c in rows])
+
+
+def _per_row_ratio_text(series):
+    rows = zip(series.t_start.tolist(), series.width.tolist(), series.ratio.tolist(), series.sigma.tolist())
+    return "".join([",".join(RATIO_HEADER) + "\n"] + [f"{t!r},{w!r},{r!r},{s!r}\n" for t, w, r, s in rows])
+
+
+def _ratio_of(t_start, width, ratio, sigma):
+    ratio, sigma = np.asarray(ratio, dtype=float), np.asarray(sigma, dtype=float)
+    valid = np.isfinite(ratio) & np.isfinite(sigma)
+    return RatioSeries(t_start, width, ratio, sigma, valid, valid & (ratio == 0.0))
+
+
+_WRITER_CASES = {
+    "uniform": ([0.0, 24.0, 48.0], [24.0, 24.0, 24.0]),
+    "non_uniform": ([0.0, 1.0, 3.5], [1.0, 2.5, 1.0]),
+    "one_row": ([7.0], [0.1]),
+    "empty": ([], []),
+    "scientific": ([0.0, 1e-05, 2e-05], [1e-05, 1e-05, 1e-05]),
+    "scientific_large": ([3e16, 6e16], [3e16, 3e16]),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_writers_match_per_row_format(tmp_path, case):
+    # the writers format a uniform width column once; every file must stay
+    # byte for byte what formatting each row's width on its own gives
+    t_start, width = _WRITER_CASES[case]
+    n = len(t_start)
+    counts = CountSeries("kalpha", t_start, width, list(range(n)))
+    path = tmp_path / "c.csv"
+    write_count_series(counts, path)
+    assert path.read_text() == _per_row_count_text(counts)
+    # NaN (invalid) rows, 0-ratio (low-count) rows and values in scientific notation
+    ratio = _ratio_of(t_start, width, [np.nan, 0.0, 1.5e-07][:n], [np.nan, 0.25, 3e+20][:n])
+    path = tmp_path / "r.csv"
+    write_ratio_series(ratio, path)
+    assert path.read_text() == _per_row_ratio_text(ratio)
+    stream = io.StringIO()
+    write_ratio_series(ratio, stream)
+    assert stream.getvalue() == _per_row_ratio_text(ratio)
+
+
+def _halve_last_width(series):
+    """``series`` with its last bin half as wide: a non-uniform width column."""
+    width = series.width.copy()
+    width[-1] *= 0.5
+    return CountSeries(series.channel, series.t_start, width, series.counts)
+
+
+def test_writers_match_per_row_format_on_simulated_series(tmp_path):
+    gamma, kalpha = simulate_counts(BeatParams(n0=0.003, tau_d=485.7, phi0=0.3), 3e-4, 24.0, 14400.0, seed=13)
+    ratio = normalize(gamma, kalpha)
+    assert (~ratio.valid).any() and ratio.low_count.any()  # premise: NaN and low-count rows
+    for name, series in (("gamma", gamma), ("kalpha", kalpha), ("uneven", _halve_last_width(gamma))):
+        path = tmp_path / f"{name}.csv"
+        write_count_series(series, path)
+        assert path.read_text() == _per_row_count_text(series)
+    path = tmp_path / "r.csv"
+    write_ratio_series(ratio, path)
+    assert path.read_text() == _per_row_ratio_text(ratio)
 
 # ----------------------------------------- non-finite times, int64, bad bytes
 

@@ -443,6 +443,132 @@ def test_screen_cache_kept_across_phi0_only_fit(cold_screen, pass_counter):
     assert passes[3] <= 14
 
 
+@pytest.fixture
+def derivative_passes(monkeypatch):
+    """The tau_d of each panel pass made with derivative columns, in order."""
+    taus = []
+    original = _BinModel.phase_columns
+
+    def counted(self, tau_d, derivs=False):
+        if derivs:
+            taus.append(tau_d)
+        return original(self, tau_d, derivs)
+
+    monkeypatch.setattr(_BinModel, "phase_columns", counted)
+    return taus
+
+
+@pytest.fixture
+def models_built(monkeypatch):
+    """Counts the binned models the fit builds."""
+    built = [0]
+
+    class Counted(_BinModel):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_BinModel", Counted)
+    return built
+
+
+def test_slot_kept_by_fixed_tau_d_fits_and_replaced_by_other_binning(cold_screen, models_built):
+    # a fit with tau_d fixed (n0 and phi0, or phi0 alone) never replaces the
+    # slot; a full screen on another binning does, and only a fit on a
+    # binning the slot does not hold builds a model
+    gamma, _, cfg = _criterion11_seed1000()
+    other, _ = simulate_counts(replace(TRUE, n0=4.0), 1.0, 48.0, 14400.0, seed=1001)
+    fixed = FitConfig(free_params=("n0", "phi0"), base=cfg.base)
+    phi0_only = FitConfig(free_params=("phi0",), base=replace(cfg.base, n0=4.0))
+    runs = [(gamma, cfg), (other, fixed), (gamma, phi0_only), (other, cfg), (other, cfg), (gamma, fixed)]
+    keys = []
+    for series, c in runs:
+        fit_beat(series, c)
+        keys.append(fitting._screen_slot.key[0])
+    a, b = gamma.edges.tobytes(), other.edges.tobytes()
+    assert keys == [a, a, a, b, b, b]
+    assert models_built[0] == 4  # A's screen, B fixed, B's screen, A fixed
+
+
+def test_slot_second_fit_makes_one_derivative_pass_fewer(cold_screen, derivative_passes, models_built):
+    gamma, ratio, cfg = _criterion11_seed1000()
+    for series in (gamma, ratio):
+        cold_screen()
+        derivative_passes.clear()
+        cold = fit_beat(series, cfg)
+        cold_passes = list(derivative_passes)
+        derivative_passes.clear()
+        models_built[0] = 0
+        warm = fit_beat(series, cfg)
+        assert _result_fields(warm) == _result_fields(cold)
+        # the pass at the best grid tau_d is the slot's
+        assert cold_passes[0] == warm.starts[0].tau_d
+        assert derivative_passes == cold_passes[1:]
+        assert models_built[0] == 0
+        assert warm.evaluations == cold.evaluations  # a kept pass still counts
+
+
+def test_slot_holds_one_derivative_pass(cold_screen):
+    # data whose best grid tau_d differ, on one binning: each fit's pass
+    # replaces the one before, and every fit equals its cold fit
+    cfg = _criterion11_seed1000()[2]
+    series = [simulate_counts(replace(TRUE, n0=4.0, tau_d=tau_d), 1.0, 24.0, 14400.0, seed=1000)[0]
+              for tau_d in (485.7, 30.0, 485.7)]
+    cold = []
+    for gamma in series:
+        cold_screen()
+        cold.append(_result_fields(fit_beat(gamma, cfg)))
+    grid_points = []
+    for gamma, ref in zip(series, cold):
+        out = fit_beat(gamma, cfg)
+        assert _result_fields(out) == ref
+        grid_points.append(out.starts[0].tau_d)
+        slot = fitting._screen_slot
+        assert slot.deriv_tau == grid_points[-1]
+        assert all(not c.flags.writeable for c in slot.deriv)
+    assert grid_points[0] != grid_points[1]  # premise: the pass was replaced
+
+
+def test_stacked_columns_equal_columns_one_point_at_a_time():
+    # the screen weights its points in stacks; each point's columns are the
+    # ones ``columns`` gives it alone, bit for bit, invalid ratio bins too
+    gamma, ratio, _ = _criterion11_seed1000(kalpha_scale=1e-4)
+    assert not ratio.valid.all()  # premise: some bins are dropped
+    taus = fitting._tau_grid((10.0, 1e4))[1]
+    for series in (gamma, ratio):
+        data = fitting._WeightedSeries(series, TRUE.tau0, TRUE.t_pump)
+        phase = np.array([data.model.phase_columns(float(t)) for t in taus])
+        stacked = data.stacked_columns(phase)
+        assert stacked.shape == (len(taus), len(data.y), 4)
+        for tau, cols in zip(taus, stacked):
+            assert np.array_equal(cols, data.columns(float(tau)))
+        assert data.evaluations == 2 * len(taus)
+
+
+def test_criterion11_seed1000_evaluations_cold_and_warm(cold_screen):
+    gamma, _, cfg = _criterion11_seed1000()
+    for _ in range(2):
+        assert fit_beat(gamma, cfg).evaluations == 67
+
+
+def test_polish_bisects_when_a_step_returns_to_a_rejected_point():
+    # criterion 11's ratio data of seed 100, fitted with n0 held at 1: the
+    # first Newton step from the grid point tau_d = 1000 s is rejected, and
+    # the next target rounds to that rejected point again.  The polish must
+    # bisect the bracket then, not stop on the grid point; tau_d = 1113.6 s
+    # lies inside the bracket and fits better.
+    true = replace(TRUE, n0=4.0)
+    gamma, kalpha = simulate_counts(true, 1.0, 24.0, 14400.0, seed=100)
+    ratio = normalize(gamma, kalpha)
+    base = replace(true, n0=1.0, tau_d=2000.0, phi0=0.0)
+    out = fit_beat(ratio, FitConfig(free_params=("tau_d", "phi0", "background"), base=base))
+    inside = fit_beat(ratio, FitConfig(free_params=("phi0", "background"), base=replace(base, tau_d=1113.6)))
+    assert out.starts[0].tau_d == 1000.0
+    assert out.params.tau_d != 1000.0
+    assert out.chi2 <= inside.chi2 < out.starts[0].chi2
+    assert out.evaluations <= 75
+
+
 def _beatless_free_background():
     true = replace(TRUE, n0=0.0, background=0.02)
     gamma, _ = simulate_counts(true, 1.0, 24.0, 14400.0, seed=41)
