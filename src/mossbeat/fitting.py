@@ -9,29 +9,51 @@ pass gives the columns.  Everything but tau_d is solved at each tau_d
 by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 1973): from the QR factor of the columns, the best n0 and background
 (bounded weighted least squares) cost O(1) per trial phase, and phi0
-is zoomed in on by comparing trial phases.  The fit screens this
-exact-phase profile chi2(tau_d) on a log-spaced tau_d grid, which finds
-the one deep basin of the beat landscape without a multistart.  A grid
-point's profile chi2 is never below the part of the data outside its
-columns' span, so the phase is searched only where that part does not
-rule the point out (see ``fit_beat``).  The fit then polishes the best
-grid point by safeguarded Gauss-Newton steps in log10 tau_d (Kaufman,
-BIT 15, 1975), whose exact derivative columns come from the same panel
-pass; the final tau_d is chosen by comparing chi2 on a fixed lattice in
-log10 tau_d.  What depends only on the bin edges, tau0 and t_pump is
-kept in one slot for the last binning screened in the process: the
-binned model with its panel layout (about 0.2 MB at 600 bins, 18 MB at
-60 000), the screen's unit-n0 columns for its tau_d grid (2 x grid x bins
-doubles: 0.6 MB for 61 grid points and 600 bins, 59 MB at 60 000) and
-the derivative pass at the last best grid point (4 x bins doubles: 19 KB
-at 600 bins, 1.9 MB at 60 000).  Repeated fits on one binning then
-screen without a panel pass and build no model, until a full screen on
-another binning replaces the slot.  The screen weights its points by
-the data in stacks of about 4096 rows (6 points at 600 bins), not one by
-one.
+is zoomed in on by comparing trial phases (``_zoom_min``, to about
+1.5e-9 rad).  The fit screens this exact-phase profile chi2(tau_d) on a
+log-spaced tau_d grid, which finds the one deep basin of the beat
+landscape without a multistart.  A grid point's profile chi2 is rest +
+ss, with rest the squared residual outside the span of its four columns
+and ss >= 0, so it is never below rest, in floating point too.  The
+phase is therefore searched first at the point of least rest, and then
+only at points whose rest is not above that chi2 by more than the tie
+margin; the others can neither win nor tie.  With a measured beat only
+that first point is searched; where the data carry no beat (n0 = 0)
+nothing is skipped, nor is anything where a rest is NaN.  The screen
+weights and factors its points in stacks of about 4096 rows (6 points
+at 600 bins).  LAPACK factors each point on its own and every later step
+is per point, so a point's numbers do not depend on the points stacked
+or searched with it, and the result is bit for bit that of a search at
+every point, one at a time.
+
+The fit then polishes the best grid point by at most 8 safeguarded
+Gauss-Newton steps in z = log10 tau_d (Kaufman, BIT 15, 1975), inside
+the bracket of its neighbours: slope 2 m.r and curvature 2 |m|^2 for
+the residuals r and m = -dmodel/dz, with the free inner parameters off
+their bounds projected out.  The exact derivative columns come from the
+same panel pass as the model's.  A step that leaves the bracket, meets
+zero curvature (n0 = 0, say) or does not lower chi2 gives way to
+bisection, as does a target that rounds to a point already tried; one
+that rounds to the current point ends the steps.  A rejected step moves
+only the bracket, so the slope and curvature are kept.  Every step
+lands on a lattice of spacing 2^-28 in z, and the final tau_d is the
+lattice point of least chi2 found by comparison within 2 lattice steps
+of the best one the steps reached.
+
+What depends only on the bin edges, tau0 and t_pump is kept in one slot
+for the last binning screened in the process: the binned model with its
+panel layout (about 0.2 MB at 600 bins, 18 MB at 60 000), the screen's
+unit-n0 columns for its tau_d grid (2 x grid x bins doubles: 0.6 MB for
+61 grid points and 600 bins, 59 MB at 60 000) and the derivative pass at
+the last best grid point (4 x bins doubles: 19 KB at 600 bins, 1.9 MB at
+60 000).  Repeated fits on one binning then screen without a panel pass
+and build no model, until a full screen on another binning replaces the
+slot.  A fit with tau_d fixed uses the slot's model when the slot holds
+its binning and makes its one screen pass directly.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
-arrays fits as a count series (sigma = sqrt(max(counts, 1))), anything
+arrays fits as a count series (sigma = sqrt(max(counts, 1)), Neyman's
+chi2, which is biased at low counts; see README), anything
 with ``edges``, ``ratio``, ``sigma`` and ``valid`` fits as a ratio series
 (the model ratio uses a unit-scale fluorescence denominator, so the
 fitted n0 is measured in units of the fluorescence scale).
@@ -64,8 +86,8 @@ _DEFAULT_BOUNDS = {
 # comparisons that pick tau_d and phi0 are decided by more than rounding on
 # noiseless data, so that data rescaled by a constant give the same tau_d
 # and phi0 bit for bit.  Stacks: the rows (points x kept bins) the screen
-# weights at once; a stack's columns then take about 100 KB, which stays in
-# cache (all 61 points at once, 1.2 MB at 600 bins, ran slower).
+# weights and factors at once; a stack's columns then take about 100 KB,
+# which stays in cache (all 61 points at once, 1.2 MB at 600 bins, ran slower).
 _GRID_PER_DECADE = 4
 _Z_STEP = 2.0**-28
 _NEWTON_STEPS = 8
@@ -203,29 +225,20 @@ class _WeightedSeries:
             return slot.model
         return _BinModel(self.edges, self.tau0, self.t_pump, reuse=True)
 
-    def columns(self, tau_d: float, derivs: bool = False, phase=None) -> np.ndarray:
-        """(bins, 4) columns K/2, D and S of the unit-n0 model at tau_d, and
-        the unit background; with ``derivs`` also dD/dtau_d and dS/dtau_d,
-        as (bins, 6).  ``phase`` supplies the pass's unweighted columns over
-        all bins when they are already known (the slot's derivative pass);
-        they still count as one evaluation."""
-        self.evaluations += 1
-        if phase is None:
-            phase = self.model.phase_columns(tau_d, derivs)
-        phase = [c[self.keep] / self.denom / self.sig for c in phase]
-        return np.column_stack([self.half_k, *phase[:2], self.background, *phase[2:]])
-
-    def stacked_columns(self, phase) -> np.ndarray:
-        """The (bins, 4) ``columns`` at each of a stack of tau_d, shape
-        (points, bins, 4), from their unweighted (D, S) over all bins,
-        shape (points, 2, all bins); each point counts as one evaluation."""
+    def columns(self, phase) -> np.ndarray:
+        """The model columns at each of a stack of tau_d, shape (points, bins,
+        4): K/2, D and S of the unit-n0 model and the unit background, from
+        the unweighted (D, S) of each point over all bins, shape (points, 2,
+        all bins).  Given (points, 4, all bins), with dD/dtau_d and
+        dS/dtau_d, those follow as columns 5 and 6.  Each point counts as one
+        evaluation."""
         self.evaluations += len(phase)
-        cols = np.empty((len(phase), 4, len(self.y)))
+        cols = np.empty((len(phase), 2 + phase.shape[1], len(self.y)))
         cols[:, 0], cols[:, 3] = self.half_k, self.background
-        phase_cols = cols[:, 1:3]
-        phase_cols[:] = phase[:, :, self.keep]
-        phase_cols /= self.denom
-        phase_cols /= self.sig
+        for weighted, unweighted in ((cols[:, 1:3], phase[:, :2]), (cols[:, 4:], phase[:, 2:])):
+            weighted[:] = unweighted[:, :, self.keep]
+            weighted /= self.denom
+            weighted /= self.sig
         return np.swapaxes(cols, 1, 2)
 
 
@@ -237,8 +250,8 @@ class _Slot(NamedTuple):
     screen tau_d over all bins, shape (grid, 2, bins), for the grid whose
     bytes are ``grid``; ``deriv`` the read-only derivative pass
     ``model.phase_columns(deriv_tau, True)`` at the last best grid point,
-    or None.  Nothing derived from the data (kept bins, sigma, denominator)
-    goes in.
+    shape (4, bins), or None.  Nothing derived from the data (kept bins,
+    sigma, denominator) goes in.
     """
 
     key: tuple
@@ -246,7 +259,7 @@ class _Slot(NamedTuple):
     grid: bytes
     model: _BinModel
     deriv_tau: float | None = None
-    deriv: tuple[np.ndarray, ...] | None = None
+    deriv: np.ndarray | None = None
 
 
 # the slot of the last binning screened, or None
@@ -283,15 +296,14 @@ def _screen(data: _WeightedSeries, taus: np.ndarray) -> _Slot:
     return slot
 
 
-def _derivative_pass(tau: float) -> tuple[np.ndarray, ...]:
+def _derivative_pass(tau: float) -> np.ndarray:
     """The slot's read-only derivative pass at grid tau_d ``tau``: kept, or
     made now and kept in place of the one before."""
     global _screen_slot
     slot = _screen_slot
     if slot.deriv_tau != tau:
-        cols = slot.model.phase_columns(tau, True)
-        for c in cols:
-            c.setflags(write=False)
+        cols = np.array(slot.model.phase_columns(tau, True))
+        cols.setflags(write=False)
         _screen_slot = slot = slot._replace(deriv_tau=tau, deriv=cols)
     return slot.deriv
 
@@ -370,64 +382,35 @@ def chi2(series, params: BeatParams) -> float:
 
 
 def _qr_pieces(cols, y):
-    """QR pieces (R, Q^T y, rest) of the profile at one tau_d, from its model
-    columns: chi2 = |Q^T y - R x|^2 + rest for any coefficients x, where
-    rest = |y - Q Q^T y|^2 is the part of the data outside the columns'
-    span.  Residuals in this 4-d basis keep chi2's relative precision, which
-    the normal equations lose where the columns are nearly parallel (a slow
-    beat, with D close to K/2)."""
-    q, r_cols = np.linalg.qr(cols[:, :4])
-    y_proj = q.T @ y
-    rest = y - q @ y_proj
-    return r_cols, y_proj, np.dot(rest, rest)
+    """QR pieces (R, Q^T y, rest) of the profile at each of a stack of tau_d,
+    from its model columns, shape (points, bins, >= 4): chi2 = |Q^T y - R x|^2
+    + rest for any coefficients x of the first four columns, where
+    rest = |y - Q Q^T y|^2 is the part of the data outside their span.
+    Residuals in this 4-d basis keep chi2's relative precision, which the
+    normal equations lose where the columns are nearly parallel (a slow
+    beat, with D close to K/2).  LAPACK factors each point on its own, and
+    the products are per point too, so a point's pieces do not depend on
+    the points stacked with it; the (1, n) by (n, 1) product is the dot
+    product's sum, bit for bit, which einsum's is not."""
+    q, r_cols = np.linalg.qr(cols[..., :4])
+    y_proj = np.swapaxes(q, -1, -2) @ y
+    rest = y - (q @ y_proj[..., None])[..., 0]
+    return r_cols, y_proj, (rest[..., None, :] @ rest[..., :, None])[..., 0, 0]
 
 
 def _phase_profile(pieces, lin, coef, lo, hi):
     """profile(phases): the chi2 at each of a (rows, trials) array of phases,
-    one row per tau_d in ``pieces``, with n0 and background solved as by
-    ``_bounded_lstsq`` (free where listed in ``lin``, within [lo, hi]).
-    Each row is computed on its own, so a row's values do not depend on
-    which rows are stacked with it.  What depends on the row alone (the
-    fixed background's share of the data, the background column's norm) is
-    computed once per search; with at most one free coefficient it is
-    solved directly, with every residual formed as t - n0 a - background c
-    in that order, so each value is the double ``_bounded_lstsq`` gives."""
-    r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
+    one row per tau_d of the stacked QR ``pieces``, with n0 and background
+    solved by ``_bounded_lstsq`` (free where listed in ``lin``, within
+    [lo, hi]).  Each row is computed on its own, so a row's values do not
+    depend on which rows are stacked with it."""
+    r_cols, y_proj, rest = pieces
     t, c, rest = y_proj[:, None, :], r_cols[:, None, :, 3], rest[:, None]
 
-    def model(phases):
-        v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
-        return np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
-
-    def dot(u, v):
-        return (u * v).sum(axis=-1)
-
-    def best(col, den, r):
-        """The coefficient of ``col`` minimising |r - x col|^2, within its bounds."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(den > 0.0, dot(col, r) / den, 0.0)
-        return np.clip(x, lo[0], hi[0])
-
-    if len(lin) == 2:
-        return lambda phases: _bounded_lstsq(model(phases), c, t, lin, coef, lo, hi)[2] + rest
-    n0, background = coef
-    if lin == [1]:  # background free, n0 fixed
-        cc = dot(c, c)
-
-        def profile(phases):
-            r = t - n0 * model(phases)
-            r = r - best(c, cc, r)[..., None] * c
-            return dot(r, r) + rest
-
-        return profile
-    bg_c = background * c
-    t_bg = t - bg_c
-
     def profile(phases):
-        a = model(phases)
-        x = best(a, dot(a, a), t_bg)[..., None] if lin else n0
-        r = t - x * a - bg_c
-        return dot(r, r) + rest
+        v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
+        a = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
+        return _bounded_lstsq(a, c, t, lin, coef, lo, hi)[2] + rest
 
     return profile
 
@@ -475,52 +458,34 @@ def _wrap(phase: float, lo: float, periodic: bool) -> float:
 
 
 def fit_beat(series, cfg: FitConfig) -> FitResult:
-    """Best fit of chi2 over the free parameters.
+    """Best fit of chi2 over the free parameters of ``cfg``.
 
-    Deterministic for fixed inputs.  Every evaluation is one panel pass
-    at one tau_d, which gives the columns K/2, D and S; free phi0, n0
-    and background then follow from their QR factor: n0 and background
-    exactly, phi0 by ``_zoom_min`` to about 1.5e-9 rad.  A free tau_d is
-    screened on a grid of 4 log-spaced points per decade over its
-    bounds, both ends included; ties within 1e-9 relative chi2 break
-    toward lower tau_d.  A point's profile chi2 is rest + ss, with rest
-    the squared residual outside the span of its four columns and ss >= 0,
-    so it is never below rest, in floating point too.  The phase is
-    searched first at the point of least rest; its chi2 bounds the
-    screen's minimum, and every point whose rest exceeds that bound by
-    more than the tie margin is skipped, as it can neither win nor tie.
-    With a measured beat only that first point is searched; where the
-    data carry no beat (n0 = 0), all rests lie within the margin of the
-    least chi2 and nothing is skipped.  A NaN rest skips nothing.  The
-    result is bit for bit that of a search at every point, because each
-    point's phase search is independent of the points searched with it.
-    The polish then takes at most 8 Gauss-Newton steps in
-    z = log10 tau_d from the best grid point, inside the
-    bracket of its neighbours: slope 2 m.r and curvature 2 |m|^2 for the
-    residuals r and m = -dmodel/dz with the free inner parameters off
-    their bounds projected out.  A step that leaves the bracket, meets
-    zero curvature (n0 = 0, say) or does not lower chi2 gives way to
-    bisection of the bracket.  Every step lands on a lattice of spacing
-    2^-28 in z.  A target that rounds to the current point ends the
-    steps; one that rounds to another point already tried (a rejected
-    step's, whose target the next step repeats) gives way to bisection
-    too.  The final point is the lattice point of least chi2
-    found by comparison within 2 lattice steps of the best one the steps
-    reached; the grid point is kept unless that point does better, so a
-    fit that ends on a bound returns the bound exactly.  A fit with
-    default bounds thus takes 61 screen evaluations and at most 14 more.
-    The binned model, the screen's columns and the derivative pass at the
-    best grid point are kept in the slot of the last binning screened
-    (edges, tau0 and t_pump; the columns also by grid), so a further fit
-    on that binning builds no model and makes only the polish's other
-    panel passes; kept passes still count as evaluations, and its result
-    is bit for bit that of a fit with an empty slot.  A fit with tau_d
-    fixed uses the slot's model when it holds the binning, makes its one
-    screen pass directly and never replaces the slot.
-    When the phi0 bounds span at least pi, the period of the model, the
-    phase is searched unbounded and reported in [lo, lo + pi); narrower
-    bounds are enforced.  The covariance is Gauss-Newton, with exact
-    Jacobian columns for every free parameter.
+    ``series`` is a count or ratio series (see the module docstring); the
+    parameters that are not free keep their values in ``cfg.base``.  The
+    result is deterministic for fixed inputs, and data rescaled by a
+    constant give the same tau_d and phi0 bit for bit.  A free tau_d is
+    screened on a grid of 4 log-spaced points per decade over its bounds,
+    both ends included; ties within 1e-9 relative chi2 break toward the
+    lower tau_d.  The polish then ends on a lattice of spacing 2^-28 in
+    log10 tau_d, and keeps the best grid point unless it finds a lower
+    chi2.  Every parameter stays within its bounds; one that ends on a
+    bound returns it exactly and is named in ``message``.  When the phi0
+    bounds span at least pi, the period of the model, phi0 is unbounded
+    and reported in [lo, lo + pi); narrower bounds are enforced.  The
+    covariance is Gauss-Newton, with exact Jacobian columns for every free
+    parameter.
+
+    ``evaluations`` counts model evaluations, one panel pass at one tau_d
+    each, kept passes included: 61 for the screen with default bounds and
+    at most 14 more.  ``starts`` holds one ``FitStart``, the screen's best
+    grid point, when tau_d or phi0 is free.
+
+    The process keeps one slot for the last binning screened (its edges,
+    tau0 and t_pump).  A further fit on that binning builds no model and
+    makes no screen pass, nor a pass at its best grid point when that is
+    the previous fit's; its result is bit for bit that of a fit with an
+    empty slot.  A full screen on another
+    binning replaces the slot, and a fit with tau_d fixed never does.
     """
     free = cfg.free_params
     base = cfg.base
@@ -534,29 +499,25 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     phase_lo, phase_hi = bounds["phi0"]
     periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
 
-    def evaluate(tau, derivs=False):
-        """The model columns at tau_d and their QR pieces."""
-        cols = data.columns(float(tau), derivs)
-        return cols, _qr_pieces(cols, data.y)
-
     def solve(pieces):
-        """Best phase and its profile chi2 at each tau_d, from its QR pieces."""
+        """Best phase and its profile chi2 at each tau_d of the stacked QR pieces."""
         profile = _phase_profile(pieces, lin, coef, lin_lo, lin_hi)
+        rows = len(pieces[2])
         if "phi0" not in free:
-            return np.full(len(pieces), base.phi0), profile(np.full((len(pieces), 1), base.phi0))[:, 0]
-        return _zoom_min(profile, len(pieces), phase_lo, phase_hi, periodic)
+            return np.full(rows, base.phi0), profile(np.full((rows, 1), base.phi0))[:, 0]
+        return _zoom_min(profile, rows, phase_lo, phase_hi, periodic)
 
-    def fit_at(tau, derivs=False, known=None):
+    def fit_at(tau, derivs=False, unweighted=None, known=None):
         """One panel pass at tau_d and the best phase, n0 and background there.
-        ``known`` is the (phase, chi2) the screen found at this tau_d from
-        the same columns, which the pass then does not search again, and
-        the pass's kept unweighted columns (see ``_WeightedSeries.columns``)."""
+        ``unweighted`` is the pass's columns when they are kept (the slot's
+        derivative pass), ``known`` the (phase, chi2) the screen found at this
+        tau_d from the same columns, which is then not searched again."""
+        if unweighted is None:
+            unweighted = np.array(data.model.phase_columns(float(tau), derivs))
+        cols = data.columns(unweighted[None])
         if known is None:
-            cols, pieces = evaluate(tau, derivs)
-            phases, chis = solve([pieces])
-            known = phases[0], chis[0]
-        else:
-            cols = data.columns(float(tau), derivs, known[2])
+            known = [v[0] for v in solve(_qr_pieces(cols, data.y))]
+        cols = cols[0]
         phase, chi = float(known[0]), float(known[1])
         c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
         unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
@@ -599,25 +560,25 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         # screen: the exact-phase profile chi2(tau_d) on a log grid
         if "tau_d" in free:
             z_grid, taus = _tau_grid(bounds["tau_d"])
-            slot = _screen(data, taus)
-            step = max(1, _STACK_ROWS // len(data.y))  # points per stack
-            pieces = [_qr_pieces(cols, data.y) for i in range(0, len(taus), step)
-                      for cols in data.stacked_columns(slot.columns[i:i + step])]
+            phase = _screen(data, taus).columns
         else:  # one point: a direct pass, which leaves the slot to full screens
             taus = np.array([base.tau_d])
-            pieces = [evaluate(base.tau_d)[1]]
+            phase = np.array(data.model.phase_columns(float(base.tau_d)))[None]
+        step = max(1, _STACK_ROWS // len(data.y))  # points per stack
+        stacks = [_qr_pieces(data.columns(phase[i:i + step]), data.y) for i in range(0, len(taus), step)]
+        pieces = [np.concatenate(p) for p in zip(*stacks)]
         # a point's chi2 is never below its rest: search the phase at the
         # least rest first, then only where rest is not above the tie
         # limit of that chi2; a skipped point can neither win nor tie
-        rest = np.array([p[2] for p in pieces])
+        rest = pieces[2]
         first = int(np.argmin(rest))
         phases, chis = np.full(len(taus), np.nan), np.full(len(taus), np.inf)
-        phases[[first]], chis[[first]] = solve([pieces[first]])
+        phases[[first]], chis[[first]] = solve([p[[first]] for p in pieces])
         search = ~(rest > _tie_limit(chis[first]))
         search[first] = False
         if search.any():
             idx = np.flatnonzero(search)
-            phases[idx], chis[idx] = solve([pieces[i] for i in idx])
+            phases[idx], chis[idx] = solve([p[idx] for p in pieces])
         best = int(np.flatnonzero(chis <= _tie_limit(chis.min()))[0])
         tau = float(taus[best])
         starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
@@ -629,8 +590,8 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
             # the pass's D and S are the screen's bit for bit, so its phase
             # stands; the pass itself is the slot's, made once per binning
-            final = pt = fit_at(tau, True, known=(phases[best], chis[best], _derivative_pass(tau)))
-            z, tried = z_grid[best], {}
+            final = pt = fit_at(tau, True, _derivative_pass(tau), (phases[best], chis[best]))
+            z, tried, slope_at = z_grid[best], {}, None
 
             def lattice(k, derivs=False):
                 if k not in tried:
@@ -638,7 +599,8 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
                 return tried[k]
 
             for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
-                slope, curv = newton(pt)
+                if slope_at is not pt:  # a rejected step moves only the bracket
+                    slope_at, (slope, curv) = pt, newton(pt)
                 if slope > 0.0:
                     hi = min(hi, z)
                 elif slope < 0.0:

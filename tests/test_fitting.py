@@ -531,18 +531,23 @@ def test_slot_holds_one_derivative_pass(cold_screen):
 
 def test_stacked_columns_equal_columns_one_point_at_a_time():
     # the screen weights its points in stacks; each point's columns are the
-    # ones ``columns`` gives it alone, bit for bit, invalid ratio bins too
+    # ones a stack of that point alone gives, and the definition's, bit for
+    # bit: with the derivative columns and invalid ratio bins too
     gamma, ratio, _ = _criterion11_seed1000(kalpha_scale=1e-4)
     assert not ratio.valid.all()  # premise: some bins are dropped
     taus = fitting._tau_grid((10.0, 1e4))[1]
     for series in (gamma, ratio):
-        data = fitting._WeightedSeries(series, TRUE.tau0, TRUE.t_pump)
-        phase = np.array([data.model.phase_columns(float(t)) for t in taus])
-        stacked = data.stacked_columns(phase)
-        assert stacked.shape == (len(taus), len(data.y), 4)
-        for tau, cols in zip(taus, stacked):
-            assert np.array_equal(cols, data.columns(float(tau)))
-        assert data.evaluations == 2 * len(taus)
+        for derivs in (False, True):
+            data = fitting._WeightedSeries(series, TRUE.tau0, TRUE.t_pump)
+            phase = np.array([data.model.phase_columns(float(t), derivs) for t in taus])
+            stacked = data.columns(phase)
+            assert stacked.shape == (len(taus), len(data.y), 6 if derivs else 4)
+            for i, cols in enumerate(stacked):
+                weighted = [c[data.keep] / data.denom / data.sig for c in phase[i]]
+                ref = np.column_stack([data.half_k, *weighted[:2], data.background, *weighted[2:]])
+                assert np.array_equal(cols, ref)
+                assert np.array_equal(cols, data.columns(phase[i:i + 1])[0])
+            assert data.evaluations == 2 * len(taus)
 
 
 def test_criterion11_seed1000_evaluations_cold_and_warm(cold_screen):
@@ -567,6 +572,28 @@ def test_polish_bisects_when_a_step_returns_to_a_rejected_point():
     assert out.params.tau_d != 1000.0
     assert out.chi2 <= inside.chi2 < out.starts[0].chi2
     assert out.evaluations <= 75
+
+
+def test_polish_keeps_the_slope_across_a_rejected_step(monkeypatch):
+    # the case above: a rejected Newton step moves only the bracket, so the
+    # polish takes the slope and curvature at the point it stays on again
+    # rather than projecting its tau_d column anew (one least-squares call
+    # per point it moves to)
+    true = replace(TRUE, n0=4.0)
+    gamma, kalpha = simulate_counts(true, 1.0, 24.0, 14400.0, seed=100)
+    cfg = FitConfig(free_params=("tau_d", "phi0", "background"),
+                    base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    calls = [0]
+    original = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    out = fit_beat(normalize(gamma, kalpha), cfg)
+    assert out.params.tau_d != 1000.0  # premise: the polish moved off the grid point
+    assert calls[0] == 4
 
 
 def _beatless_free_background():
@@ -632,41 +659,52 @@ def test_screen_phase_search_budget(phase_rows):
 
 
 def test_zoom_min_rows_independent_of_stacking():
-    # the premise of a bit-identical skip: a phase search over stacked
-    # tau_d points gives each point what a search over it alone gives
+    # the premise of a bit-identical skip: each row of one stacked
+    # _qr_pieces call (R, Q^T y, rest) is that row's pieces computed alone,
+    # and a phase search over the stacked rows gives each row what a search
+    # over it alone gives
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    pieces = [fitting._qr_pieces(data.columns(tau), data.y) for tau in (30.0, 485.7, 1e6)]
-    lin, coef = [0], (cfg.base.n0, cfg.base.background)
-    lo, hi = np.array([[0.0], [1e12]])
-    for bounds in ((0.0, np.pi, True), (0.1, 1.0, False)):
-        phases, values = fitting._zoom_min(fitting._phase_profile(pieces, lin, coef, lo, hi), 3, *bounds)
-        for i, one in enumerate(pieces):
-            alone = fitting._zoom_min(fitting._phase_profile([one], lin, coef, lo, hi), 1, *bounds)
-            assert (alone[0][0], alone[1][0]) == (phases[i], values[i])
+    cols = data.columns(np.array([data.model.phase_columns(tau, True) for tau in (30.0, 485.7, 1e6)]))
+    pieces = fitting._qr_pieces(cols, data.y)
+    alone = [fitting._qr_pieces(cols[i:i + 1], data.y) for i in range(len(cols))]
+    for i, one in enumerate(alone):
+        for stacked, row, plain in zip(pieces, one, fitting._qr_pieces(cols[i], data.y)):
+            assert np.array_equal(stacked[i], row[0])
+            assert np.array_equal(stacked[i], plain)
+    coef = (3.7, 0.3)
+    for lin in ([], [0], [1], [0, 1]):
+        lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
+        for bounds in ((0.0, np.pi, True), (0.1, 1.0, False)):
+            phases, values = fitting._zoom_min(fitting._phase_profile(pieces, lin, coef, lo, hi), 3, *bounds)
+            for i, one in enumerate(alone):
+                row = fitting._zoom_min(fitting._phase_profile(one, lin, coef, lo, hi), 1, *bounds)
+                assert (row[0][0], row[1][0]) == (phases[i], values[i])
 
 
 def test_screen_skip_keeps_a_point_within_the_bound(monkeypatch):
     # the screen skips a point only when its rest is above the tie limit of
     # the first searched chi2 (100 here); a point whose rest, and chi2, is
     # 5e-5 below that chi2 must still be searched, and it wins.  The QR
-    # pieces and the phase profile are stood in for: a point's pieces carry
-    # its chi2 and rest, in grid order, and the polish's points all lose.
+    # pieces and the phase profile are stood in for: the stacked pieces of a
+    # point carry its chi2 (in Q^T y) and its rest, in grid order, and the
+    # polish's points all lose.
     gamma, _, cfg = _criterion11_seed1000()
     _, taus = fitting._tau_grid(cfg.bounds["tau_d"])
     first, other = 10, 40
     chis, rests = np.full(len(taus), 200.0), np.full(len(taus), 200.0)
     chis[first], rests[first] = 100.0, 50.0
     chis[other] = rests[other] = 100.0 - 5e-5
-    calls = []
+    chis, rests = np.append(chis, 1e9), np.append(rests, 1e9)
+    points = [0]
 
     def fake_pieces(cols, y):
-        i = len(calls)
-        calls.append(i)
-        return (None, chis[i], rests[i]) if i < len(taus) else (None, 1e9, 1e9)
+        i = np.minimum(points[0] + np.arange(len(cols)), len(taus))
+        points[0] += len(cols)
+        return np.zeros((len(cols), 4, 4)), np.repeat(chis[i, None], 4, axis=1), rests[i]
 
     def fake_profile(pieces, lin, coef, lo, hi):
-        scores = np.array([p[1] for p in pieces])
+        scores = pieces[1][:, 0]
         return lambda phases: scores[:, None] + 0.0 * phases
 
     monkeypatch.setattr(fitting, "_qr_pieces", fake_pieces)
@@ -678,17 +716,17 @@ def test_screen_skip_keeps_a_point_within_the_bound(monkeypatch):
 @pytest.mark.parametrize("lin", [[], [0], [1], [0, 1]], ids=["none", "n0", "background", "both"])
 @pytest.mark.parametrize("background", [0.0, 0.3])
 def test_phase_profile_matches_bounded_lstsq(lin, background):
-    # with at most one free coefficient the profile solves it directly; it
-    # must give _bounded_lstsq's values bit for bit, stacked rows included
+    # the profile solves n0 and background in the 4-d basis of the QR
+    # pieces; it must give the chi2 of _bounded_lstsq's solve over every
+    # bin of the model columns, stacked rows and a slow beat included
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    pieces = [fitting._qr_pieces(data.columns(tau), data.y) for tau in (30.0, 485.7, 1e6)]
+    cols = data.columns(np.array([data.model.phase_columns(tau) for tau in (30.0, 485.7, 1e6)]))
     coef = (3.7, background)
     lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
     phases = np.linspace(0.0, np.pi, 64) + np.array([[0.0], [0.01], [0.02]])
-    r_cols, y_proj, rest = (np.array(v) for v in zip(*pieces))
-    v = np.stack([np.ones_like(phases), np.cos(2.0 * phases), -np.sin(2.0 * phases)], axis=-1)
-    model = np.einsum("gij,gqj->gqi", r_cols[:, :, :3], v)
-    ref = fitting._bounded_lstsq(model, r_cols[:, None, :, 3], y_proj[:, None, :], lin, coef, lo, hi)[2]
-    got = fitting._phase_profile(pieces, lin, coef, lo, hi)(phases)
-    assert np.array_equal(got, ref + rest[:, None])
+    c, s = np.cos(2.0 * phases)[..., None], np.sin(2.0 * phases)[..., None]
+    unit = cols[:, None, :, 0] + c * cols[:, None, :, 1] - s * cols[:, None, :, 2]
+    ref = fitting._bounded_lstsq(unit, cols[:, None, :, 3], data.y, lin, coef, lo, hi)[2]
+    got = fitting._phase_profile(fitting._qr_pieces(cols, data.y), lin, coef, lo, hi)(phases)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
