@@ -400,8 +400,10 @@ def _decay_caps(u_hi: np.ndarray, tau0: float) -> np.ndarray:
 def _panel_counts(gaps: np.ndarray, caps: np.ndarray, tau_d: float) -> np.ndarray:
     """Panels per interval of width ``gaps`` in u, under ``caps`` and one beat
     period pi sqrt(tau_d)."""
-    h_max = np.minimum(np.pi * np.sqrt(tau_d), caps)
-    return np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h_max).astype(int), 1), 0)
+    counts = np.ceil(gaps / np.minimum(np.pi * np.sqrt(tau_d), caps))
+    if not np.all(counts < 2.0**63):
+        raise DomainError(f"tau_d = {tau_d!r} s is too small: an interval needs 2^63 or more panels")
+    return np.where(gaps > 0.0, np.maximum(counts.astype(int), 1), 0)
 
 
 def _panel_orders(gaps: np.ndarray, counts: np.ndarray, caps: np.ndarray, tau_d: float) -> np.ndarray:
@@ -458,15 +460,19 @@ class _PanelLayout:
 
     Each interval yields the integral M0 of the unit-n0 rate over tau in
     [u_lo^2, u_hi^2] and, with ``moments``, also L = int (tau - u_lo^2) g
-    and R = int (u_hi^2 - tau) g.  With ``keep`` the node blocks are built
-    once and reused by every evaluation; otherwise each evaluation rebuilds
-    them one block at a time, which bounds the memory of a single large pass.
+    and R = int (u_hi^2 - tau) g.  Each evaluation builds the node blocks
+    one at a time, which bounds the memory of a single large pass, until
+    ``keep`` builds them once for every later evaluation.
     """
 
-    def __init__(self, u_lo, u_hi, counts, orders, tau0: float, moments: bool = False, keep: bool = False):
+    def __init__(self, u_lo, u_hi, counts, orders, tau0: float, moments: bool = False):
         self.u_lo, self.u_hi, self.counts, self.orders, self.tau0 = u_lo, u_hi, counts, orders, tau0
         self.moments = moments
-        self._kept = [self._block(*b) for b in _blocks(counts, orders)] if keep else None
+        self.kept = None
+
+    def keep(self):
+        """Build the node blocks now and reuse them in every later evaluation."""
+        self.kept = [self._block(*b) for b in _blocks(self.counts, self.orders)]
 
     def _block(self, idx, order):
         """Intervals ``idx`` (all with panels of ``order`` nodes), their first
@@ -496,7 +502,7 @@ class _PanelLayout:
         nodes u = sqrt(tau), each shaped like ``u``.
         """
         sums = np.zeros((k, 3 if self.moments else 1, len(self.counts)))
-        blocks = self._kept if self._kept is not None else (self._block(*b) for b in _blocks(self.counts, self.orders))
+        blocks = self.kept if self.kept is not None else (self._block(*b) for b in _blocks(self.counts, self.orders))
         for cols, first, u, w in blocks:
             for row, vals in zip(sums, modulation(u)):
                 row[:, cols] = np.add.reduceat(np.einsum("mpn,pn->mp", w, vals), first, axis=-1)
@@ -516,15 +522,16 @@ class _BinModel:
     t_pump: ``bin_expected_counts`` is n0 times its ``unit_counts`` plus the
     background term.
 
-    With ``reuse`` it keeps one panel layout over the pieces and rebuilds
-    it only when a new tau_d changes the panel counts or orders.  The layout keeps
-    its nodes when every piece has at most one panel, the coarsest layout
-    these edges allow; the finer ones that a small tau_d needs are rebuilt
-    block by block on each pass, so the memory a fit holds stays that of
-    one coarse pass.
+    It keeps its last panel layout over the pieces and builds a new one
+    only when a new tau_d changes the panel counts or orders.  A layout in
+    which every piece has at most one panel, the coarsest these edges allow,
+    keeps its nodes from its second pass on, so a model used once (as in
+    ``bin_expected_counts``) builds them block by block; the finer layouts
+    that a small tau_d needs are rebuilt block by block on each pass, so the
+    memory a model holds stays that of one coarse pass.
     """
 
-    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float, reuse: bool = False):
+    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float):
         a, b = edges[:-1], edges[1:]
         e = b + t_pump
         short = b - a <= t_pump
@@ -556,7 +563,7 @@ class _BinModel:
         self.fall_off = ((e[self.fall_bin] - x[self.fall + 1]) + x_sq[self.fall + 1]) + e_res
         self.i1, self.i2 = i1, i2
         self.gaps, self.caps = np.diff(self.u), _decay_caps(self.u[1:], tau0)
-        self.tau0, self.reuse = tau0, reuse
+        self.tau0 = tau0
         self._layout = None
 
     def _sums(self, tau_d: float, modulation, k: int = 1) -> np.ndarray:
@@ -566,10 +573,9 @@ class _BinModel:
         layout = self._layout
         if layout is None or not (np.array_equal(counts, layout.counts) and np.array_equal(orders, layout.orders)):
             self._layout = layout = None  # free the old nodes before building new ones
-            keep = self.reuse and counts.max() <= 1
-            layout = _PanelLayout(self.u[:-1], self.u[1:], counts, orders, self.tau0, moments=True, keep=keep)
-            if self.reuse:
-                self._layout = layout
+            self._layout = layout = _PanelLayout(self.u[:-1], self.u[1:], counts, orders, self.tau0, moments=True)
+        elif layout.kept is None and counts.max() <= 1:  # a coarse layout's second pass
+            layout.keep()
         out, n = [], len(self.lvl)
         for m0, left, right in layout.integrate(modulation, k):
             hi, lo = _suffix_sums(m0)

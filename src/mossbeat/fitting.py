@@ -40,16 +40,18 @@ lands on a lattice of spacing 2^-28 in z, and the final tau_d is the
 lattice point of least chi2 found by comparison within 2 lattice steps
 of the best one the steps reached.
 
-What depends only on the bin edges, tau0 and t_pump is kept in one slot
-for the last binning screened in the process: the binned model with its
-panel layout (about 0.2 MB at 600 bins, 18 MB at 60 000), the screen's
-unit-n0 columns for its tau_d grid (2 x grid x bins doubles: 0.6 MB for
-61 grid points and 600 bins, 59 MB at 60 000) and the derivative pass at
-the last best grid point (4 x bins doubles: 19 KB at 600 bins, 1.9 MB at
-60 000).  Repeated fits on one binning then screen without a panel pass
-and build no model, until a full screen on another binning replaces the
-slot.  A fit with tau_d fixed uses the slot's model when the slot holds
-its binning and makes its one screen pass directly.
+What depends only on the bin edges, tau0 and t_pump, the binning, has one
+owner, a ``_Binning``: the binned model with its panel layout (about 0.2 MB
+at 600 bins, 18 MB at 60 000), the screen's unit-n0 columns for its tau_d
+grid (2 x grid x bins doubles: 0.6 MB for 61 grid points and 600 bins,
+59 MB at 60 000) and the derivative pass at the last best grid point (4 x
+bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  A fit takes its
+binning once, at its start, and holds it to the end, so fits running
+concurrently in threads give the results of serial fits.  The process
+keeps the binning of the last full screen, and repeated fits on it screen
+without a panel pass and build no model, until a full screen on another
+binning replaces it.  A fit with tau_d fixed takes one panel pass, with
+the kept binning's model when that is its binning, and keeps no binning.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1)), Neyman's
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -199,7 +200,7 @@ class _WeightedSeries:
             if len(obs) == 0:
                 raise StructuralError("series is empty")
             sig = np.sqrt(np.maximum(obs, 1.0))
-            keep = np.ones(len(obs), dtype=bool)
+            keep = slice(None)
         # K, the unit-scale fluorescence counts, depends on no fitted
         # parameter; it is also a ratio series' model denominator
         k = kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep]
@@ -213,17 +214,13 @@ class _WeightedSeries:
         self.evaluations = 0
 
     @cached_property
-    def key(self) -> tuple:
-        """What the binned model depends on: the edges' bytes, tau0 and t_pump."""
-        return self.edges.tobytes(), float(self.tau0), float(self.t_pump)
-
-    @cached_property
-    def model(self) -> _BinModel:
-        """The slot's model when the slot holds this binning, else a new one."""
-        slot = _screen_slot
-        if slot is not None and slot.key == self.key:
-            return slot.model
-        return _BinModel(self.edges, self.tau0, self.t_pump, reuse=True)
+    def binning(self) -> _Binning:
+        """The kept binning when it is this series', else a new one."""
+        key = self.edges.tobytes(), float(self.tau0), float(self.t_pump)
+        kept = _kept
+        if kept is not None and kept.key == key:
+            return kept
+        return _Binning(key, self.edges, self.tau0, self.t_pump)
 
     def columns(self, phase) -> np.ndarray:
         """The model columns at each of a stack of tau_d, shape (points, bins,
@@ -242,28 +239,48 @@ class _WeightedSeries:
         return np.swapaxes(cols, 1, 2)
 
 
-class _Slot(NamedTuple):
+class _Binning:
     """What a fit computes from one binning alone, kept for the next fit on it.
 
-    ``key`` is ``_WeightedSeries.key``; ``model`` the ``_BinModel`` with its
-    kept panel layout; ``columns`` the read-only unit-n0 (D, S) of every
-    screen tau_d over all bins, shape (grid, 2, bins), for the grid whose
-    bytes are ``grid``; ``deriv`` the read-only derivative pass
-    ``model.phase_columns(deriv_tau, True)`` at the last best grid point,
-    shape (4, bins), or None.  Nothing derived from the data (kept bins,
-    sigma, denominator) goes in.
+    ``key`` is the edges' bytes, tau0 and t_pump; ``model`` the ``_BinModel``
+    with its kept panel layout.  ``screen`` and ``derivative_pass`` keep their
+    last result as one (argument, value) pair, read and replaced in one step,
+    so a fit never pairs one tau_d with another's columns.  Nothing derived
+    from the data (kept bins, sigma, denominator) goes in.
     """
 
-    key: tuple
-    columns: np.ndarray
-    grid: bytes
-    model: _BinModel
-    deriv_tau: float | None = None
-    deriv: np.ndarray | None = None
+    def __init__(self, key: tuple, edges: np.ndarray, tau0: float, t_pump: float):
+        self.key = key
+        self.model = _BinModel(edges, tau0, t_pump)
+        self._screen = self._deriv = (None, None)
+
+    def screen(self, taus: np.ndarray) -> np.ndarray:
+        """The read-only unit-n0 (D, S) at each of ``taus`` over all bins,
+        shape (grid, 2, bins): kept, or one panel pass per tau_d, made with
+        the old grid's columns freed."""
+        grid, kept = taus.tobytes(), self._screen
+        if kept[0] != grid:
+            self._screen = kept = (None, None)  # free the old grid's columns first
+            cols = np.empty((len(taus), 2, len(self.model.lvl)))
+            for row, tau in zip(cols, taus):
+                row[:] = self.model.phase_columns(float(tau))
+            cols.setflags(write=False)
+            self._screen = kept = grid, cols
+        return kept[1]
+
+    def derivative_pass(self, tau: float) -> np.ndarray:
+        """The read-only ``model.phase_columns(tau, True)``, shape (4, bins):
+        kept, or made now and kept in place of the one before."""
+        kept = self._deriv
+        if kept[0] != tau:
+            cols = np.array(self.model.phase_columns(tau, True))
+            cols.setflags(write=False)
+            self._deriv = kept = tau, cols
+        return kept[1]
 
 
-# the slot of the last binning screened, or None
-_screen_slot = None
+# the binning of the last full screen, or None
+_kept = None
 
 
 def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -275,37 +292,6 @@ def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     taus = 10.0**z_grid
     taus[[0, -1]] = bounds
     return z_grid, taus
-
-
-def _screen(data: _WeightedSeries, taus: np.ndarray) -> _Slot:
-    """The slot for ``data``'s binning, holding the screen columns at each of
-    ``taus``: kept, or, on a miss, a new slot whose columns take one panel
-    pass per tau_d; it keeps the old slot's model when the binning is the
-    same (another grid)."""
-    global _screen_slot
-    slot, grid = _screen_slot, taus.tobytes()
-    if slot is not None and slot.key == data.key and slot.grid == grid:
-        return slot
-    model = data.model  # the slot's when it holds this binning
-    _screen_slot = slot = None  # free the old columns before computing new ones
-    cols = np.empty((len(taus), 2, len(data.edges) - 1))
-    for row, tau in zip(cols, taus):
-        row[:] = model.phase_columns(float(tau))
-    cols.setflags(write=False)
-    _screen_slot = slot = _Slot(data.key, cols, grid, model)
-    return slot
-
-
-def _derivative_pass(tau: float) -> np.ndarray:
-    """The slot's read-only derivative pass at grid tau_d ``tau``: kept, or
-    made now and kept in place of the one before."""
-    global _screen_slot
-    slot = _screen_slot
-    if slot.deriv_tau != tau:
-        cols = np.array(slot.model.phase_columns(tau, True))
-        cols.setflags(write=False)
-        _screen_slot = slot = slot._replace(deriv_tau=tau, deriv=cols)
-    return slot.deriv
 
 
 @dataclass(frozen=True)
@@ -477,15 +463,18 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
 
     ``evaluations`` counts model evaluations, one panel pass at one tau_d
     each, kept passes included: 61 for the screen with default bounds and
-    at most 14 more.  ``starts`` holds one ``FitStart``, the screen's best
-    grid point, when tau_d or phi0 is free.
+    at most 14 more, or 1 with tau_d fixed.  ``starts`` holds one
+    ``FitStart``, the screen's best grid point (with tau_d fixed, its one
+    point), when tau_d or phi0 is free.
 
-    The process keeps one slot for the last binning screened (its edges,
-    tau0 and t_pump).  A further fit on that binning builds no model and
-    makes no screen pass, nor a pass at its best grid point when that is
-    the previous fit's; its result is bit for bit that of a fit with an
-    empty slot.  A full screen on another
-    binning replaces the slot, and a fit with tau_d fixed never does.
+    A fit holds the kept work of its binning (its edges, tau0 and t_pump)
+    from start to end, so fits running concurrently in threads return what
+    serial fits return.  The process keeps the binning of the last full
+    screen.  A further fit on it builds no model and makes no screen pass,
+    nor a pass at its best grid point when that is the previous fit's; its
+    result is bit for bit that of a fit on a binning kept by none.  A full
+    screen on another binning replaces the kept one, and a fit with tau_d
+    fixed never does.
     """
     free = cfg.free_params
     base = cfg.base
@@ -509,11 +498,11 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
 
     def fit_at(tau, derivs=False, unweighted=None, known=None):
         """One panel pass at tau_d and the best phase, n0 and background there.
-        ``unweighted`` is the pass's columns when they are kept (the slot's
+        ``unweighted`` is the pass's columns when they are kept (the binning's
         derivative pass), ``known`` the (phase, chi2) the screen found at this
         tau_d from the same columns, which is then not searched again."""
         if unweighted is None:
-            unweighted = np.array(data.model.phase_columns(float(tau), derivs))
+            unweighted = np.array(binning.model.phase_columns(float(tau), derivs))
         cols = data.columns(unweighted[None])
         if known is None:
             known = [v[0] for v in solve(_qr_pieces(cols, data.y))]
@@ -554,16 +543,21 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             m = m - a @ np.linalg.lstsq(a, m, rcond=None)[0]
         return 2.0 * np.dot(m, residuals(pt)), 2.0 * np.dot(m, m)
 
-    tau, starts = base.tau_d, []
-    final = None
-    if "tau_d" in free or "phi0" in free:
-        # screen: the exact-phase profile chi2(tau_d) on a log grid
-        if "tau_d" in free:
-            z_grid, taus = _tau_grid(bounds["tau_d"])
-            phase = _screen(data, taus).columns
-        else:  # one point: a direct pass, which leaves the slot to full screens
-            taus = np.array([base.tau_d])
-            phase = np.array(data.model.phase_columns(float(base.tau_d)))[None]
+    tau, starts = float(base.tau_d), []
+    binning = data.binning  # this fit's throughout, whatever binning another fit keeps
+    if "tau_d" not in free:  # one pass
+        final = fit_at(tau)
+        if "phi0" in free:
+            starts.append(FitStart(tau, _wrap(final.phase, phase_lo, periodic), final.chi,
+                                   data.evaluations, True, "best of 1 tau_d grid points"))
+    else:
+        # screen: the exact-phase profile chi2(tau_d) on a log grid; only a
+        # full screen replaces the kept binning, freeing the old one first
+        global _kept
+        _kept = None
+        z_grid, taus = _tau_grid(bounds["tau_d"])
+        phase = binning.screen(taus)
+        _kept = binning
         step = max(1, _STACK_ROWS // len(data.y))  # points per stack
         stacks = [_qr_pieces(data.columns(phase[i:i + step]), data.y) for i in range(0, len(taus), step)]
         pieces = [np.concatenate(p) for p in zip(*stacks)]
@@ -583,57 +577,58 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         tau = float(taus[best])
         starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
                                data.evaluations, True, f"best of {len(taus)} tau_d grid points"))
-        if "tau_d" in free:
-            # polish: safeguarded Newton from the best grid point, inside the
-            # bracket of its neighbours, on lattice points of log10 tau_d
-            lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
-            k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
-            # the pass's D and S are the screen's bit for bit, so its phase
-            # stands; the pass itself is the slot's, made once per binning
-            final = pt = fit_at(tau, True, _derivative_pass(tau), (phases[best], chis[best]))
-            z, tried, slope_at = z_grid[best], {}, None
+        # polish: safeguarded Newton from the best grid point, inside the
+        # bracket of its neighbours, on lattice points of log10 tau_d
+        lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
+        k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
+        # the pass's D and S are the screen's bit for bit, so its phase
+        # stands; the pass itself is the binning's, kept for the next fit
+        # whose best grid point is this one
+        final = pt = fit_at(tau, True, binning.derivative_pass(tau), (phases[best], chis[best]))
+        z, tried, slope_at = z_grid[best], {}, None
 
-            def lattice(k, derivs=False):
-                if k not in tried:
-                    tried[k] = fit_at(np.clip(10.0 ** (k * _Z_STEP), *bounds["tau_d"]), derivs)
-                return tried[k]
+        def lattice(k, derivs=False):
+            if k not in tried:
+                tried[k] = fit_at(np.clip(10.0 ** (k * _Z_STEP), *bounds["tau_d"]), derivs)
+            return tried[k]
 
-            for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
-                if slope_at is not pt:  # a rejected step moves only the bracket
-                    slope_at, (slope, curv) = pt, newton(pt)
-                if slope > 0.0:
-                    hi = min(hi, z)
-                elif slope < 0.0:
-                    lo = max(lo, z)
-                target = z - slope / curv if curv > 0.0 else np.nan
-                if not lo < target < hi:  # also when nan: bisect the bracket
-                    target = 0.5 * (lo + hi)
-                k = min(max(round(target / _Z_STEP), k_lo), k_hi)
-                if k in tried and tried[k] is not pt:  # a point already tried: bisect
-                    k = min(max(round(0.5 * (lo + hi) / _Z_STEP), k_lo), k_hi)
-                if k in tried:  # converged on the current point, or nothing left to try
-                    break
-                if lattice(k, True).chi < pt.chi:
-                    z, pt = k * _Z_STEP, tried[k]
-                elif k * _Z_STEP > z:
-                    hi = k * _Z_STEP
-                else:
-                    lo = k * _Z_STEP
-            # the final point is chosen by comparing chi2 on the lattice only,
-            # so data rescaled by a constant give the same tau_d bit for bit
-            if tried:
-                k0 = k = min(tried, key=lambda j: (tried[j].chi, j))
-                for step in (-1, 1):
-                    while abs(k + step - k0) <= _WINDOW and k_lo <= k + step <= k_hi:
-                        if not lattice(k + step).chi < tried[k].chi:
-                            break
-                        k += step
-                if tried[k].chi < chis[best]:
-                    final = tried[k]
-                    tau = final.tau
+        for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
+            if slope_at is not pt:  # a rejected step moves only the bracket
+                slope_at, (slope, curv) = pt, newton(pt)
+            if slope > 0.0:
+                hi = min(hi, z)
+            elif slope < 0.0:
+                lo = max(lo, z)
+            target = z - slope / curv if curv > 0.0 else np.nan
+            if not lo < target < hi:  # also when nan: bisect the bracket
+                target = 0.5 * (lo + hi)
+            k = min(max(round(target / _Z_STEP), k_lo), k_hi)
+            if k in tried and tried[k] is not pt:  # a point already tried: bisect
+                k = min(max(round(0.5 * (lo + hi) / _Z_STEP), k_lo), k_hi)
+            if k in tried:  # converged on the current point, or nothing left to try
+                break
+            if lattice(k, True).chi < pt.chi:
+                z, pt = k * _Z_STEP, tried[k]
+            elif k * _Z_STEP > z:
+                hi = k * _Z_STEP
+            else:
+                lo = k * _Z_STEP
+        # the final point is chosen by comparing chi2 on the lattice only,
+        # so data rescaled by a constant give the same tau_d bit for bit
+        if tried:
+            k0 = k = min(tried, key=lambda j: (tried[j].chi, j))
+            for step in (-1, 1):
+                while abs(k + step - k0) <= _WINDOW and k_lo <= k + step <= k_hi:
+                    if not lattice(k + step).chi < tried[k].chi:
+                        break
+                    k += step
+            if tried[k].chi < chis[best]:
+                final = tried[k]
+                tau = final.tau
 
-    if final is None or final.cols.shape[1] < 6:  # no pass yet, or none with derivatives
-        final = fit_at(tau, "tau_d" in free)
+        if final.cols.shape[1] < 6:  # the final pass made no derivative columns
+            final = fit_at(tau, True)
+
     r = residuals(final)
     best_chi2 = float(np.dot(r, r))
     params = replace(base, n0=final.n0, tau_d=tau, phi0=_wrap(final.phase, phase_lo, periodic),
@@ -666,6 +661,6 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
             msgs.append(f"{name} at upper bound {hi:g}")
     message = "; ".join(msgs) if msgs else "ok"
 
-    dof = int(np.count_nonzero(data.keep)) - len(free)
+    dof = len(data.y) - len(free)
     return FitResult(params, best_chi2, dof, cov, bool(np.isfinite(best_chi2)), message, free,
                      data.evaluations, tuple(starts))

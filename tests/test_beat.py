@@ -192,6 +192,18 @@ def test_accumulated_intensity_input_checks():
         accumulated_intensity(-1.0, p)
 
 
+@pytest.mark.parametrize("tau_d", [1e-300, 1e-40])
+def test_tiny_tau_d_raises_rather_than_overflowing_the_panel_count(tau_d):
+    # a panel count of 2^63 or more does not fit an integer: the cast used
+    # to overflow with only a RuntimeWarning and integrate with one panel
+    # (899.3 at tau_d = 1e-300 against the fast-beat limit 1034.7)
+    p = BeatParams(n0=1.0, tau_d=tau_d)
+    with pytest.raises(DomainError, match="tau_d"):
+        accumulated_intensity(1000.0, p)
+    with pytest.raises(DomainError, match="tau_d"):
+        bin_expected_counts(p, [0.0, 24.0, 48.0])
+
+
 def test_accumulated_intensity_decay_cap_late_times():
     # tau0 << tau_d long after t = 0: the decay length in u = sqrt(tau)
     # shrinks as tau0 / (2u), so a fixed cap of sqrt(tau0) lets one panel

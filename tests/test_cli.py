@@ -223,6 +223,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["estimate", "--set", "bogus.key=1"]) == 2
     assert run_cli(["fit", "--data", str(tmp_path / "missing.csv")]) == 2
     assert run_cli(["beat", "--set", "beat.tau0=-5"]) == 1
+    assert run_cli(["beat", "--set", "beat.tau_d=1e-300"]) == 1  # too many panels to count
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     assert run_cli(["estimate", "--config", str(broken)]) == 2

@@ -1,5 +1,7 @@
 from dataclasses import replace
 from types import SimpleNamespace
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -330,10 +332,10 @@ def _result_fields(out):
 
 @pytest.fixture
 def cold_screen(monkeypatch):
-    """Empties the screen's column cache for the test; returns a function
-    that empties it again."""
+    """Drops the kept binning for the test; returns a function that drops
+    it again."""
     def clear():
-        monkeypatch.setattr(fitting, "_screen_slot", None)
+        monkeypatch.setattr(fitting, "_kept", None)
 
     clear()
     return clear
@@ -395,7 +397,7 @@ def test_screen_cache_misses_on_other_model_inputs(cold_screen, pass_counter, ch
 def test_screen_cache_is_read_only(cold_screen):
     gamma, _, cfg = _criterion11_seed1000()
     fit_beat(gamma, cfg)
-    cols = fitting._screen_slot[1]
+    cols = fitting._kept.screen(fitting._tau_grid(cfg.bounds["tau_d"])[1])
     assert cols.shape == (61, 2, len(gamma))
     assert not cols.flags.writeable
     with pytest.raises(ValueError):
@@ -409,6 +411,7 @@ def test_screen_cache_ratio_with_invalid_bins_matches_cold_fit(cold_screen):
     cold_screen()
     fit_beat(gamma, cfg)  # fills the cache on the same edges with every bin kept
     assert _result_fields(fit_beat(ratio, cfg)) == cold
+    assert cold[2] == np.count_nonzero(ratio.valid & (ratio.sigma > 0.0)) - 3  # dof over the kept bins
 
 
 def test_screen_cache_pass_count(cold_screen, pass_counter):
@@ -424,8 +427,8 @@ def test_screen_cache_pass_count(cold_screen, pass_counter):
 
 
 def test_screen_cache_kept_across_phi0_only_fit(cold_screen, pass_counter):
-    # a fit with tau_d fixed screens one point by a direct pass, so it
-    # leaves the full screen's slot to the next full fit on the binning
+    # a fit with tau_d fixed takes one pass and leaves the full screen's
+    # binning kept for the next full fit on it
     gamma, _, cfg = _criterion11_seed1000()
     phi0_only = FitConfig(free_params=("n0", "phi0"), base=cfg.base)
     cold = {}
@@ -439,7 +442,7 @@ def test_screen_cache_kept_across_phi0_only_fit(cold_screen, pass_counter):
         out = fit_beat(gamma, cfg if name == "full" else phi0_only)
         passes.append(pass_counter[0])
         assert _result_fields(out) == cold[name]
-    assert passes[2] == 2  # the one screen point and the final point
+    assert passes[2] == 1  # the one point, screened and final
     assert passes[3] <= 14
 
 
@@ -474,8 +477,8 @@ def models_built(monkeypatch):
 
 def test_slot_kept_by_fixed_tau_d_fits_and_replaced_by_other_binning(cold_screen, models_built):
     # a fit with tau_d fixed (n0 and phi0, or phi0 alone) never replaces the
-    # slot; a full screen on another binning does, and only a fit on a
-    # binning the slot does not hold builds a model
+    # kept binning; a full screen on another binning does, and only a fit on
+    # a binning other than the kept one builds a model
     gamma, _, cfg = _criterion11_seed1000()
     other, _ = simulate_counts(replace(TRUE, n0=4.0), 1.0, 48.0, 14400.0, seed=1001)
     fixed = FitConfig(free_params=("n0", "phi0"), base=cfg.base)
@@ -484,7 +487,7 @@ def test_slot_kept_by_fixed_tau_d_fits_and_replaced_by_other_binning(cold_screen
     keys = []
     for series, c in runs:
         fit_beat(series, c)
-        keys.append(fitting._screen_slot.key[0])
+        keys.append(fitting._kept.key[0])
     a, b = gamma.edges.tobytes(), other.edges.tobytes()
     assert keys == [a, a, a, b, b, b]
     assert models_built[0] == 4  # A's screen, B fixed, B's screen, A fixed
@@ -501,7 +504,7 @@ def test_slot_second_fit_makes_one_derivative_pass_fewer(cold_screen, derivative
         models_built[0] = 0
         warm = fit_beat(series, cfg)
         assert _result_fields(warm) == _result_fields(cold)
-        # the pass at the best grid tau_d is the slot's
+        # the pass at the best grid tau_d is the kept binning's
         assert cold_passes[0] == warm.starts[0].tau_d
         assert derivative_passes == cold_passes[1:]
         assert models_built[0] == 0
@@ -523,10 +526,66 @@ def test_slot_holds_one_derivative_pass(cold_screen):
         out = fit_beat(gamma, cfg)
         assert _result_fields(out) == ref
         grid_points.append(out.starts[0].tau_d)
-        slot = fitting._screen_slot
-        assert slot.deriv_tau == grid_points[-1]
-        assert all(not c.flags.writeable for c in slot.deriv)
+        tau, deriv = fitting._kept._deriv
+        assert tau == grid_points[-1]
+        assert deriv.shape == (4, len(gamma)) and not deriv.flags.writeable
     assert grid_points[0] != grid_points[1]  # premise: the pass was replaced
+
+
+def test_fit_keeps_its_binning_when_another_fit_runs_mid_fit(cold_screen, monkeypatch):
+    # a full fit on another binning (t_pump 1800 s) runs between this fit's
+    # screen and its polish and replaces the kept binning; this fit must
+    # still polish on its own binning's derivative pass.  Taking the other
+    # binning's pass stopped it on its grid point with chi2 1335.5, not 609.1
+    true = replace(TRUE, n0=4.0, tau_d=1e6)
+    gamma, _ = simulate_counts(true, 1.0, 24.0, 14400.0, seed=105)
+    cfg = FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    other_true = replace(TRUE, n0=4.0, t_pump=1800.0)
+    other, _ = simulate_counts(other_true, 1.0, 24.0, 14400.0, seed=1001)
+    other_cfg = FitConfig(base=replace(other_true, n0=1.0, tau_d=2000.0, phi0=0.0))
+    clean = _result_fields(fit_beat(gamma, cfg))
+    cold_screen()
+    original, calls = fitting._qr_pieces, [0]
+
+    def interrupted(cols, y):
+        calls[0] += 1
+        if calls[0] == 1:
+            fit_beat(other, other_cfg)
+        return original(cols, y)
+
+    monkeypatch.setattr(fitting, "_qr_pieces", interrupted)
+    assert _result_fields(fit_beat(gamma, cfg)) == clean
+    assert fitting._kept.key[2] == 1800.0  # premise: the other fit replaced the kept binning
+
+
+def test_fits_in_threads_equal_serial_fits(cold_screen):
+    # three threads, each fitting on its own binning, replace the kept
+    # binning under one another; every fit must still equal its serial fit
+    cases = []
+    for t_pump, width in ((3600.0, 24.0), (1800.0, 24.0), (3600.0, 48.0)):
+        true = replace(TRUE, n0=4.0, t_pump=t_pump)
+        gamma, kalpha = simulate_counts(true, 1.0, width, 14400.0, seed=1000)
+        cfg = FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0))
+        cases.append([(series, cfg) for series in (gamma, normalize(gamma, kalpha))])
+    serial = [[_result_fields(fit_beat(*fit)) for fit in case] for case in cases]
+    results = [[] for _ in cases]
+
+    def run(i):
+        for _ in range(2):
+            results[i] += [_result_fields(fit_beat(*fit)) for fit in cases[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [ref * 2 for ref in serial]
 
 
 def test_stacked_columns_equal_columns_one_point_at_a_time():
@@ -539,7 +598,7 @@ def test_stacked_columns_equal_columns_one_point_at_a_time():
     for series in (gamma, ratio):
         for derivs in (False, True):
             data = fitting._WeightedSeries(series, TRUE.tau0, TRUE.t_pump)
-            phase = np.array([data.model.phase_columns(float(t), derivs) for t in taus])
+            phase = np.array([data.binning.model.phase_columns(float(t), derivs) for t in taus])
             stacked = data.columns(phase)
             assert stacked.shape == (len(taus), len(data.y), 6 if derivs else 4)
             for i, cols in enumerate(stacked):
@@ -665,7 +724,7 @@ def test_zoom_min_rows_independent_of_stacking():
     # over it alone gives
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    cols = data.columns(np.array([data.model.phase_columns(tau, True) for tau in (30.0, 485.7, 1e6)]))
+    cols = data.columns(np.array([data.binning.model.phase_columns(tau, True) for tau in (30.0, 485.7, 1e6)]))
     pieces = fitting._qr_pieces(cols, data.y)
     alone = [fitting._qr_pieces(cols[i:i + 1], data.y) for i in range(len(cols))]
     for i, one in enumerate(alone):
@@ -721,7 +780,7 @@ def test_phase_profile_matches_bounded_lstsq(lin, background):
     # bin of the model columns, stacked rows and a slow beat included
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    cols = data.columns(np.array([data.model.phase_columns(tau) for tau in (30.0, 485.7, 1e6)]))
+    cols = data.columns(np.array([data.binning.model.phase_columns(tau) for tau in (30.0, 485.7, 1e6)]))
     coef = (3.7, background)
     lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
     phases = np.linspace(0.0, np.pi, 64) + np.array([[0.0], [0.01], [0.02]])
