@@ -613,6 +613,18 @@ class _BinModel:
         return tuple(sums)
 
 
+def _checked_edges(edges) -> np.ndarray:
+    """``edges`` as a float array: 1-d, at least two, finite, nonnegative
+    and strictly increasing, or ``DomainError``."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2:
+        raise DomainError("edges must be 1-d with at least two entries")
+    # finite first, so that no difference of infinities is taken
+    if not (np.isfinite(edges).all() and edges[0] >= 0.0 and (np.diff(edges) > 0.0).all()):
+        raise DomainError("edges must be finite, nonnegative and strictly increasing")
+    return edges
+
+
 def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarray:
     """Expected counts in contiguous bins given by ``edges`` (len N+1).
 
@@ -627,11 +639,7 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
     that, only the rounding of the beat phase sqrt(t / tau_d) itself
     remains, about eps times the phase.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2:
-        raise DomainError("edges must be 1-d with at least two entries")
-    if np.any(edges < 0.0) or np.any(np.diff(edges) <= 0.0):
-        raise DomainError("edges must be nonnegative and strictly increasing")
+    edges = _checked_edges(edges)
     if not p.t_pump > 0.0:
         raise DomainError("t_pump must be positive")
     unit = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)

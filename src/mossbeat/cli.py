@@ -33,21 +33,26 @@ from .spectra import normalize, simulate_counts
 _ESTIMATE_F_LM = 0.5
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_table(args, payload, header, rows) -> int:
+    """Write ``payload`` as JSON or ``header`` and ``rows`` as CSV, as
+    ``--format`` asks, and return the exit code, 0."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return 0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), args.out)
+    return 0
 
 
 def _fmt(x: float) -> str:
@@ -81,37 +86,29 @@ def _cmd_estimate(cfg: RunConfig, args) -> int:
         "tau_d_s": td,
         "tau_d_over_tau0": td / params.tau0,
     }
-    if args.format == "json":
-        _emit(json.dumps(values, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv_text(["name", "value"], [[k, _fmt(v)] for k, v in values.items()]), args.out)
-    return 0
+    return _emit_table(args, values, ["name", "value"], [[k, _fmt(v)] for k, v in values.items()])
 
 
 def _cmd_bragg(cfg: RunConfig, args) -> int:
     k_mag = constants.photon_wavenumber(cfg.rhodium().gamma_energy)
     candidates = bragg_angle_solve(k_mag, cfg.lattice())
-    if args.format == "json":
-        payload = [
-            {
-                "theta_rad": c.theta,
-                "theta_deg": float(np.degrees(c.theta)),
-                "miller": c.miller.tolist(),
-                "residual": c.residual,
-            }
-            for c in candidates
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    rows = []
-    for i, c in enumerate(candidates):
-        for (h, k, l), g in zip(c.miller, c.g_vectors):
-            rows.append(
-                [i, _fmt(c.theta), _fmt(np.degrees(c.theta)), int(h), int(k), int(l),
-                 _fmt(np.linalg.norm(g)), _fmt(c.residual)]
-            )
-    _emit(_csv_text(["candidate", "theta_rad", "theta_deg", "h", "k", "l", "g_per_m", "residual"], rows), args.out)
-    return 0
+    payload = [
+        {
+            "theta_rad": c.theta,
+            "theta_deg": float(np.degrees(c.theta)),
+            "miller": c.miller.tolist(),
+            "residual": c.residual,
+        }
+        for c in candidates
+    ]
+    rows = [
+        [i, _fmt(c.theta), _fmt(np.degrees(c.theta)), int(h), int(k), int(l),
+         _fmt(np.linalg.norm(g)), _fmt(c.residual)]
+        for i, c in enumerate(candidates)
+        for (h, k, l), g in zip(c.miller, c.g_vectors)
+    ]
+    header = ["candidate", "theta_rad", "theta_deg", "h", "k", "l", "g_per_m", "residual"]
+    return _emit_table(args, payload, header, rows)
 
 
 def _cmd_fieldmap(cfg: RunConfig, args) -> int:
@@ -120,25 +117,18 @@ def _cmd_fieldmap(cfg: RunConfig, args) -> int:
     center, extent, n = cfg.fieldmap()
     span = extent * lattice.a
     axis = np.linspace(-span / 2.0, span / 2.0, n)
-    rows = []
+    values = []
     for y in axis:
         pts = np.column_stack([axis, np.full(n, y), np.zeros(n)]) + center
         e = evaluate_E(geom, pts)
         for p, ev in zip(pts, e):
-            rows.append(
-                [_fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
-                 _fmt(ev[0].real), _fmt(ev[0].imag),
-                 _fmt(ev[1].real), _fmt(ev[1].imag),
-                 _fmt(ev[2].real), _fmt(ev[2].imag),
-                 _fmt(np.linalg.norm(ev))]
+            values.append(
+                [p[0], p[1], p[2], ev[0].real, ev[0].imag, ev[1].real, ev[1].imag,
+                 ev[2].real, ev[2].imag, np.linalg.norm(ev)]
             )
     header = ["x_m", "y_m", "z_m", "re_ex", "im_ex", "re_ey", "im_ey", "re_ez", "im_ez", "abs_e"]
-    if args.format == "json":
-        payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv_text(header, rows), args.out)
-    return 0
+    payload = [dict(zip(header, map(float, row))) for row in values]
+    return _emit_table(args, payload, header, [[_fmt(v) for v in row] for row in values])
 
 
 def _cmd_flm(cfg: RunConfig, args) -> int:
@@ -149,29 +139,21 @@ def _cmd_flm(cfg: RunConfig, args) -> int:
     results = [(estimator + "_mc", mc)]
     if ens.model == "longitudinal-gaussian":
         results.append(("closed_form", flm_closed_form(geom, ens.sigma)))
-    if args.format == "json":
-        payload = {
-            name: {"value": r.value, "stderr": r.stderr, "interpretation": r.interpretation}
-            for name, r in results
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [
-            [name, _fmt(r.value), "" if r.stderr is None else _fmt(r.stderr), r.interpretation]
-            for name, r in results
-        ]
-        _emit(_csv_text(["estimator", "value", "stderr", "interpretation"], rows), args.out)
-    return 0
+    payload = {
+        name: {"value": r.value, "stderr": r.stderr, "interpretation": r.interpretation}
+        for name, r in results
+    }
+    rows = [
+        [name, _fmt(r.value), "" if r.stderr is None else _fmt(r.stderr), r.interpretation]
+        for name, r in results
+    ]
+    return _emit_table(args, payload, ["estimator", "value", "stderr", "interpretation"], rows)
 
 
 def _cmd_beat(cfg: RunConfig, args) -> int:
     curve = beat_curve(cfg.beat(), cfg.beat_grid(), kernel=cfg.kernel())
-    if args.format == "json":
-        payload = {"t_s": curve[:, 0].tolist(), "intensity": curve[:, 1].tolist()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv_text(["t_s", "intensity"], [[_fmt(t), _fmt(v)] for t, v in curve]), args.out)
-    return 0
+    payload = {"t_s": curve[:, 0].tolist(), "intensity": curve[:, 1].tolist()}
+    return _emit_table(args, payload, ["t_s", "intensity"], [[_fmt(t), _fmt(v)] for t, v in curve])
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:

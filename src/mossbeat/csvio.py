@@ -166,79 +166,67 @@ def _csv_rows(path, header) -> list[tuple[int, list[str]]]:
     return rows[1:]
 
 
-def _check_finite_times(lineno, t, w) -> None:
-    for name, v in (("t_start_s", t), ("width_s", w)):
-        if not math.isfinite(v):
-            raise StructuralError(f"line {lineno}: {name} must be finite, got {v!r}")
+def _count_fields(lineno, fields):
+    """A count row's count and channel, as the numpy pass's table holds
+    them, and its channel as the field every row must share."""
+    count, channel = fields
+    try:
+        c = int(count)
+    except ValueError as exc:
+        raise StructuralError(f"line {lineno}: counts must be an integer, got {count!r}") from exc
+    if c < 0:
+        raise StructuralError(f"line {lineno}: counts must be nonnegative, got {c}")
+    if c > _INT64_MAX:
+        raise StructuralError(f"line {lineno}: counts must fit in a 64-bit integer, got {c}")
+    return (c, channel), channel
 
 
 def _count_rows(path) -> CountSeries:
-    rows = _csv_rows(path, COUNT_HEADER)
-    t_start, width, counts = [], [], []
-    channel = None
-    for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise StructuralError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            t = float(row[0])
-            w = float(row[1])
-        except ValueError as exc:
-            raise StructuralError(f"line {lineno}: bad number: {exc}") from exc
-        _check_finite_times(lineno, t, w)
-        try:
-            c = int(row[2])
-        except ValueError as exc:
-            raise StructuralError(f"line {lineno}: counts must be an integer, got {row[2]!r}") from exc
-        if c < 0:
-            raise StructuralError(f"line {lineno}: counts must be nonnegative, got {c}")
-        if c > _INT64_MAX:
-            raise StructuralError(f"line {lineno}: counts must fit in a 64-bit integer, got {c}")
-        if w <= 0.0:
-            raise StructuralError(f"line {lineno}: width must be positive, got {w!r}")
-        if channel is None:
-            channel = row[3]
-        elif row[3] != channel:
-            raise StructuralError(f"line {lineno}: mixed channels {channel!r} and {row[3]!r}")
-        if t_start and abs(t - (t_start[-1] + width[-1])) > _EDGE_RTOL * max(w, width[-1]):
-            raise StructuralError(
-                f"line {lineno}: bin starting at {t!r} does not continue the previous bin"
-            )
-        t_start.append(t)
-        width.append(w)
-        counts.append(c)
-    if channel is None:
-        # stacklevel 4: the warning names the caller of read_count_series
-        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=4)
-        channel = "gamma"
-    return CountSeries(channel, np.array(t_start), np.array(width), np.array(counts, dtype=np.int64))
+    table, channel = _table_rows(path, COUNT_HEADER, 2, _count_fields, _COUNT_DTYPE)
+    channel = "gamma" if channel is None else channel
+    return CountSeries(channel, table["t_start_s"], table["width_s"], table["counts"])
 
 
 def _ratio_rows(path) -> RatioSeries:
-    rows = _csv_rows(path, RATIO_HEADER)
-    cols = {name: [] for name in RATIO_HEADER}
-    for lineno, row in rows:
+    table, _ = _table_rows(path, RATIO_HEADER, 4, lambda lineno, fields: ((), None), _RATIO_DTYPE)
+    return _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
+
+
+def _table_rows(path, header, n_floats, read_fields, dtype):
+    """The data rows of ``path`` as a ``dtype`` table, and the field they all
+    share (None where there are no rows).
+
+    A row's first ``n_floats`` fields are floats, the times first;
+    ``read_fields(lineno, fields)`` reads the rest and returns their values
+    and the shared field.  An empty table gives a warning.
+    """
+    rows, shared = [], None
+    for lineno, row in _csv_rows(path, header):
         if not row:
             continue
         if len(row) != 4:
             raise StructuralError(f"line {lineno}: expected 4 fields, got {len(row)}")
         try:
-            vals = [float(v) for v in row]
+            floats = [float(v) for v in row[:n_floats]]
         except ValueError as exc:
             raise StructuralError(f"line {lineno}: bad number: {exc}") from exc
-        _check_finite_times(lineno, vals[0], vals[1])
-        if vals[1] <= 0.0:
-            raise StructuralError(f"line {lineno}: width must be positive, got {vals[1]!r}")
-        if cols["t_start_s"]:
-            prev_end = cols["t_start_s"][-1] + cols["width_s"][-1]
-            if abs(vals[0] - prev_end) > _EDGE_RTOL * max(vals[1], cols["width_s"][-1]):
-                raise StructuralError(
-                    f"line {lineno}: bin starting at {vals[0]!r} does not continue the previous bin"
-                )
-        for name, v in zip(RATIO_HEADER, vals):
-            cols[name].append(v)
-    if not cols["t_start_s"]:
-        # stacklevel 4: the warning names the caller of read_ratio_series
-        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=4)
-    return _ratio_series(np.array(cols["t_start_s"]), np.array(cols["width_s"]), cols["ratio"], cols["sigma"])
+        t, w = floats[:2]
+        for name, v in (("t_start_s", t), ("width_s", w)):
+            if not math.isfinite(v):
+                raise StructuralError(f"line {lineno}: {name} must be finite, got {v!r}")
+        values, key = read_fields(lineno, row[n_floats:])
+        if w <= 0.0:
+            raise StructuralError(f"line {lineno}: width must be positive, got {w!r}")
+        if rows and key != shared:
+            raise StructuralError(f"line {lineno}: mixed channels {shared!r} and {key!r}")
+        if rows and abs(t - (rows[-1][0] + rows[-1][1])) > _EDGE_RTOL * max(w, rows[-1][1]):
+            raise StructuralError(
+                f"line {lineno}: bin starting at {t!r} does not continue the previous bin"
+            )
+        rows.append((*floats, *values))
+        shared = key
+    if not rows:
+        # stacklevel 5: the warning names the caller of read_count_series or
+        # read_ratio_series
+        warnings.warn(f"{path}: no data rows, returning an empty series", stacklevel=5)
+    return np.array(rows, dtype=dtype), shared

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .beat import BeatParams, bin_expected_counts
+from .beat import BeatParams, _checked_edges, bin_expected_counts
 from .errors import DomainError, StructuralError
 
 _CHANNELS = ("gamma", "kalpha")
@@ -163,9 +163,9 @@ def kalpha_bin_expected(scale: float, tau0: float, t_pump: float, edges) -> np.n
     """
     if not (np.isfinite(scale) and scale >= 0.0):
         raise DomainError(f"scale must be nonnegative, got {scale!r}")
-    if not (tau0 > 0.0 and t_pump > 0.0):
-        raise DomainError("tau0 and t_pump must be positive")
-    edges = np.asarray(edges, dtype=float)
+    if not (np.isfinite(tau0) and np.isfinite(t_pump) and tau0 > 0.0 and t_pump > 0.0):
+        raise DomainError(f"tau0 and t_pump must be positive and finite, got {tau0!r} and {t_pump!r}")
+    edges = _checked_edges(edges)
     a, b = edges[:-1], edges[1:]
     pump = tau0 * -np.expm1(-t_pump / tau0)
     return scale * pump * tau0 * np.exp(-a / tau0) * -np.expm1(-(b - a) / tau0)

@@ -556,6 +556,14 @@ def test_bin_expected_counts_edge_validation():
         bin_expected_counts(p, [0.0, 1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edges", [[0.0, np.inf], [0.0, np.nan], [np.nan, 1.0], [np.inf, np.inf]])
+def test_bin_expected_counts_rejects_nonfinite_edges(edges):
+    # an infinite edge gave a RuntimeWarning, a NaN one a message blaming tau_d
+    with pytest.raises(DomainError, match="^edges must be finite, nonnegative and strictly increasing$"):
+        bin_expected_counts(BeatParams(), edges)
+
+
 @pytest.mark.parametrize("order", range(_MIN_ORDER, 12))
 def test_panel_order_limits_integrate_exp_within_full_cap_error(order):
     # one panel of each order at its limit share r of a cap (one period of

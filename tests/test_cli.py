@@ -87,6 +87,44 @@ def test_flm_closed_form_row(capsys):
     )
 
 
+# each formatted command, small, and the CSV rows its JSON output carries
+_JSON_AS_ROWS = {
+    "estimate": ([], lambda data: [{"name": k, "value": v} for k, v in data.items()]),
+    "bragg": ([], lambda data: [
+        {"candidate": i, "theta_rad": c["theta_rad"], "theta_deg": c["theta_deg"],
+         "h": h, "k": k, "l": l, "residual": c["residual"]}
+        for i, c in enumerate(data) for h, k, l in c["miller"]
+    ]),
+    "fieldmap": (["--set", "fieldmap.n=5"], lambda data: data),
+    "flm": (["--set", "ensemble.n_samples=5000"], lambda data: [{"estimator": k, **v} for k, v in data.items()]),
+    "beat": (["--set", "beat_grid.n=4"], lambda data: [
+        {"t_s": t, "intensity": v} for t, v in zip(data["t_s"], data["intensity"])
+    ]),
+}
+
+
+def _csv_value(text):
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("command", list(_JSON_AS_ROWS))
+def test_csv_and_json_carry_the_same_numbers(capsys, command):
+    argv, json_as_rows = _JSON_AS_ROWS[command]
+    assert run_cli([command, *argv]) == 0
+    csv_rows = [{k: _csv_value(v) for k, v in row.items()} for row in _rows(capsys.readouterr().out)]
+    assert run_cli([command, *argv, "--format", "json"]) == 0
+    json_rows = json_as_rows(json.loads(capsys.readouterr().out))
+    if command == "bragg":  # the CSV adds each g vector's length
+        assert all(row.pop("g_per_m") > 0.0 for row in csv_rows)
+    assert len(csv_rows) > 0
+    assert csv_rows == json_rows
+
+
 def test_simulate_writes_reproducible_files(tmp_path, capsys):
     prefix = str(tmp_path / "runA")
     args = [
@@ -239,7 +277,13 @@ def test_exit_codes(tmp_path, capsys):
     (b"t_start_s,width_s,counts,channel\n0,inf,3,gamma\n5,1,2,gamma\n",
      "error: line 2: width_s must be finite, got inf\n"),
     (b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xd8", "error: "),
-], ids=["count-beyond-int64", "infinite-width", "binary"])
+    # a valid count file whose first bin starts before the pump: the model's
+    # edges are checked before any panel is laid, so no RuntimeWarning
+    (b"t_start_s,width_s,counts,channel\n-360.0,360.0,50,gamma\n0.0,360.0,40,gamma\n360.0,360.0,30,gamma\n"
+     b"720.0,360.0,25,gamma\n1080.0,360.0,20,gamma\n",
+     "error: edges must be finite, nonnegative and strictly increasing\n"),
+], ids=["count-beyond-int64", "infinite-width", "binary", "negative-start"])
+@pytest.mark.filterwarnings("error")
 def test_fit_bad_data_exits_1(tmp_path, capsys, content, message):
     data = tmp_path / "data.csv"
     data.write_bytes(content)

@@ -251,6 +251,27 @@ def test_ratio_read_rejects_nonfinite_times(tmp_path):
     assert back.valid.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("kind, rows, message", [
+    ("count", "0,-1,-3,gamma\n", "line 2: counts must be nonnegative, got -3"),
+    ("count", "0,1,3,gamma\n1,-1,4,kalpha\n", "line 3: width must be positive, got -1.0"),
+    ("count", "0,inf,x,gamma\n", "line 2: width_s must be finite, got inf"),
+    ("count", "0,1,3,gamma\n5,1,4,kalpha\n", "line 3: mixed channels 'gamma' and 'kalpha'"),
+    ("ratio", "0,inf,abc,0.1\n", "line 2: bad number: could not convert string to float: 'abc'"),
+    ("ratio", "nan,-1,0.5,0.1\n", "line 2: t_start_s must be finite, got nan"),
+    ("ratio", "0,1,0.5,0.1\n5,-1,0.5,0.1\n", "line 3: width must be positive, got -1.0"),
+])
+def test_read_reports_the_first_check_a_row_fails(tmp_path, kind, rows, message):
+    # each row breaks more than one rule; the readers check the field count,
+    # the numbers, finite times, the counts, positive width, the channel and
+    # contiguity, in that order
+    read = read_count_series if kind == "count" else read_ratio_series
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COUNT_HEADER if kind == "count" else RATIO_HEADER) + "\n" + rows)
+    with pytest.raises(StructuralError) as err:
+        read(path)
+    assert str(err.value) == message
+
+
 def test_count_read_rejects_count_beyond_int64(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(f"t_start_s,width_s,counts,channel\n0,1,{2**63 - 1},gamma\n1,1,{2**63},gamma\n")

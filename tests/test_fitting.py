@@ -57,6 +57,15 @@ def test_chi2_rejects_empty():
         chi2(empty, BeatParams())
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_rejects_bins_before_the_pump():
+    # a first bin starting at -360 s gave two RuntimeWarnings and then a
+    # message blaming tau_d = 0.001 s
+    series = CountSeries("gamma", [-360.0, 0.0, 360.0], [360.0] * 3, [50, 40, 30])
+    with pytest.raises(DomainError, match="^edges must be finite, nonnegative and strictly increasing$"):
+        fit_beat(series, FitConfig())
+
+
 def test_fit_noiseless_recovers_exactly():
     edges = np.linspace(0.0, 14400.0, 301)
     series = _noiseless_series(TRUE, edges)

@@ -63,6 +63,22 @@ def test_coherent_mc_matches_closed_form(bragg_geom):
         assert abs(mc.value - ref.value) <= 3.0 * mc.stderr
 
 
+def test_coherent_mc_stderr_is_calibrated(bragg_geom):
+    # (MC - closed form) / stderr over 100 seeds at the CLI's default spread.
+    # The stderr is a batch-means estimate from 32 batches, so the ratio
+    # follows Student's t with 31 degrees of freedom: mean 0 and sd 1.03,
+    # with |z| > 4 about once in 2 700 runs.  These seeds give mean +0.08
+    # and sd 0.97; a stderr a quarter too small or too large fails.
+    exact = flm_closed_form(bragg_geom, 5.0e-12).value
+    z = []
+    for seed in range(100):
+        ens = DisplacementEnsemble(model="longitudinal-gaussian", sigma=5.0e-12, n_samples=20000, seed=seed)
+        mc = flm_coherent_mc(bragg_geom, ens)
+        z.append((mc.value - exact) / mc.stderr)
+    assert abs(np.mean(z)) <= 0.35
+    assert 0.8 <= np.std(z, ddof=1) <= 1.25
+
+
 def test_explicit_samples_match_direct_average(bragg_geom):
     rng = np.random.default_rng(9)
     samples = rng.normal(scale=2.0e-12, size=(4096, 3))

@@ -174,6 +174,23 @@ def test_kalpha_bin_expected_validation():
         kalpha_bin_expected(1.0, 0.0, 3600.0, [0.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau0, t_pump, edges, message", [
+    (4857.0, 3600.0, [10.0, 0.0], "^edges must be finite, nonnegative and strictly increasing$"),
+    (4857.0, 3600.0, [-10.0, 0.0], "^edges must be finite, nonnegative and strictly increasing$"),
+    (4857.0, 3600.0, [0.0, np.inf], "^edges must be finite, nonnegative and strictly increasing$"),
+    (4857.0, 3600.0, [5.0], "^edges must be 1-d with at least two entries$"),
+    (np.inf, 3600.0, [0.0, 10.0], "^tau0 and t_pump must be positive and finite"),
+    (4857.0, np.inf, [0.0, 10.0], "^tau0 and t_pump must be positive and finite"),
+], ids=["decreasing", "negative", "infinite", "one-edge", "infinite-tau0", "infinite-t_pump"])
+def test_kalpha_bin_expected_rejects_bad_edges_and_times(tau0, t_pump, edges, message):
+    # the decreasing edges gave -25 398 counts, the single edge an empty
+    # array, an infinite tau0 NaN with a RuntimeWarning, and an infinite
+    # t_pump finite counts
+    with pytest.raises(DomainError, match=message):
+        kalpha_bin_expected(1.0, tau0, t_pump, edges)
+
+
 # --------------------------------------------------------- simulate_counts
 
 
