@@ -17,7 +17,14 @@ each panel capped at one beat period, at sqrt(tau0) and at the local
 decay length tau0 / (2 u), and given the fewest nodes, 4 to 12, that keep
 the error bound of a 12-node panel at a full cap.  The binned model
 integrates the rate once over the pieces between the union of all bins'
-breakpoints and builds every bin from those pieces.
+breakpoints and builds every bin from those pieces.  It runs over blocks
+of contiguous bins, last block first: each block builds only the
+breakpoints in its own span, integrates the pieces it owns and continues
+the compensated suffix sums of the bins' plateaus from the carry that the
+block after it left.  A call therefore holds its output plus one block
+(with the pieces up to one t_pump ahead that the block's bins reach) at
+any bin count, and its counts are bit for bit those of one block over the
+whole binning.
 
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
@@ -382,6 +389,8 @@ _ORDER_LIMITS = np.array([
 ])
 # nodes per block: about one 600-bin model at one 12-node panel per piece
 _BLOCK_NODES = 12288
+# bins per block of the binned model (see ``_BinModel``)
+_BLOCK_BINS = 4096
 
 
 @functools.cache
@@ -431,15 +440,18 @@ def _sum_residual(p, q, s):
     return (p - pv) + (q - qv)
 
 
-def _suffix_sums(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix sums of m, with a trailing 0, as (hi, lo): hi is the running
-    sum and lo the running sum of the rounding error of each of its
-    additions, so hi[i] - hi[j] + (lo[i] - lo[j]) is the sum of m[i:j] to
-    a few eps of itself, however large the tail beyond j."""
-    r = m[::-1]
-    hi = np.cumsum(r)
-    lo = np.concatenate([[0.0], np.cumsum(_sum_residual(hi[:-1], r[1:], hi[1:]))])
-    return np.append(hi[::-1], 0.0), np.append(lo[::-1], 0.0)
+def _suffix_sums(m: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Continue the suffix sums of m (length n) backwards from the carry in
+    hi[n] and lo[n] into hi[:n] and lo[:n]: hi is the running sum and lo
+    the running sum of the rounding error of each of its additions, so
+    hi[i] - hi[j] + (lo[i] - lo[j]) is the sum of m[i:j] to a few eps of
+    itself, however large the tail beyond j.  A cumulative sum continued
+    from a carry repeats the roundings of one over the whole."""
+    r = np.concatenate([hi[-1:], m[::-1]])
+    s = np.cumsum(r)
+    err = np.concatenate([lo[-1:], _sum_residual(s[:-1], r[1:], s[1:])])
+    hi[:] = s[::-1]
+    lo[:] = np.cumsum(err)[::-1]
 
 
 def _blocks(counts: np.ndarray, orders: np.ndarray):
@@ -517,73 +529,169 @@ def _decay_beat_integrals(u_lo: np.ndarray, u_hi: np.ndarray, p: BeatParams, ker
     return layout.integrate(lambda u: (_beat_factor(u / np.sqrt(p.tau_d), p, kernel),))[0, 0]
 
 
-class _BinModel:
-    """Unit-n0 binned model, without background, for fixed edges, tau0 and
-    t_pump: ``bin_expected_counts`` is n0 times its ``unit_counts`` plus the
-    background term.
+def _first_reaching(edges: np.ndarray, t_pump: float, targets: np.ndarray) -> np.ndarray:
+    """For each target, the first i with edges[i] + t_pump >= target, or
+    len(edges): a bisection on the rounded sums, which never fall as i
+    rises."""
+    lo, hi = np.zeros(len(targets), dtype=int), np.full(len(targets), len(edges))
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        reach = edges[np.minimum(mid, len(edges) - 1)] + t_pump >= targets
+        lo, hi = np.where(reach | (lo == hi), lo, mid + 1), np.where(reach & (lo < hi), mid, hi)
+    return lo
 
-    It keeps its last panel layout over the pieces and builds a new one
-    only when a new tau_d changes the panel counts or orders.  A layout in
-    which every piece has at most one panel, the coarsest these edges allow,
-    keeps its nodes from its second pass on, so a model used once (as in
-    ``bin_expected_counts``) builds them block by block; the finer layouts
-    that a small tau_d needs are rebuilt block by block on each pass, so the
-    memory a model holds stays that of one coarse pass.
-    """
 
-    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float):
-        a, b = edges[:-1], edges[1:]
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owning bin and slot of every slot in [lo_i, hi_i)."""
+    n = hi - lo
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(n.sum()) - (np.cumsum(n) - n)[owner] + lo[owner]
+
+
+class _Window:
+    """The breakpoint slots that one block of a backward pass reads: its own,
+    then the first ``keep`` of the block after it, held as the slots
+    [start, start + length) along the last axis of an array shaped ``rows +
+    (capacity,)``.  Each block's slots go in front of the window; only when
+    the front runs out does the window move to the back of the array, which
+    is first made twice as long as needed if it is too short."""
+
+    def __init__(self, rows: tuple):
+        self.array = np.empty(rows + (0,))
+        self.start = self.length = 0
+
+    def view(self) -> np.ndarray:
+        return self.array[..., self.start:self.start + self.length]
+
+    def prepend(self, n: int, keep: int) -> np.ndarray:
+        """Open n slots in front of the window's first ``keep`` and return the
+        new window."""
+        if self.start < n:
+            old, cap = self.array, self.array.shape[-1]
+            if cap < n + keep:  # exactly n for the first block, which may be the only one
+                cap = 2 * (n + keep) if cap else n
+                self.array = np.empty(old.shape[:-1] + (cap,))
+            self.array[..., cap - keep:] = old[..., self.start:self.start + keep]
+            self.start = cap - keep
+        self.start -= n
+        self.length = n + keep
+        return self.view()
+
+
+class _Block:
+    """The set-up of the bins [j0, j1): the u-intervals of the pieces the
+    block owns, and the slots of its window where its bins' rising edges,
+    plateaus and falling edges lie.  Its window is its own ``slots``
+    breakpoints followed by the first ``keep`` of the block after it."""
+
+    def __init__(self, edges: np.ndarray, j0: int, j1: int, t_pump: float, tau0: float,
+                 u: np.ndarray, slots: int, keep: int, x: np.ndarray, x_sq: np.ndarray):
+        a, b = edges[j0:j1], edges[j0 + 1:j1 + 1]
         e = b + t_pump
         short = b - a <= t_pump
         self.lvl = np.where(short, b - a, t_pump)  # plateau height of the overlap trapezoid
         r1 = np.where(short, b, a + t_pump)  # end of the rising edge
         r2 = np.where(short, a + t_pump, b)  # start of the falling edge
-        x = np.unique(np.concatenate([edges, edges + t_pump]))
-
-        def piece(v):
-            return np.searchsorted(x, v)
-
-        def ranges(lo, hi):
-            """Owning bin and piece index of every piece in [lo_i, hi_i)."""
-            n = hi - lo
-            owner = np.repeat(np.arange(len(n)), n)
-            return owner, np.arange(n.sum()) - (np.cumsum(n) - n)[owner] + lo[owner]
-
-        ia, i1, i2, ie = piece(a), piece(r1), piece(r2), piece(e)
+        ia, self.i1, self.i2, ie = (np.searchsorted(x, v) for v in (a, r1, r2, e))
         # the pieces are integrated over [u_k^2, u_k+1^2] with u_k = sqrt(X_k)
         # rounded; offsets from the true u_k^2 keep each bin's trapezoid
         # continuous across its pieces, whatever u_k^2 - X_k (~ eps X_k) is,
         # and the falling edges are measured from the exact b + t_pump
-        self.u = np.sqrt(x)
-        x_sq = _square_residual(x, self.u)
-        self.rise_bin, self.rise = ranges(ia, i1)
+        self.rise_bin, self.rise = _ranges(ia, self.i1)
         self.rise_off = (x[self.rise] - a[self.rise_bin]) - x_sq[self.rise]
-        self.fall_bin, self.fall = ranges(i2, ie)
+        self.fall_bin, self.fall = _ranges(self.i2, ie)
         e_res = _sum_residual(b, t_pump, e)[self.fall_bin]
         self.fall_off = ((e[self.fall_bin] - x[self.fall + 1]) + x_sq[self.fall + 1]) + e_res
-        self.i1, self.i2 = i1, i2
-        self.gaps, self.caps = np.diff(self.u), _decay_caps(self.u[1:], tau0)
-        self.tau0 = tau0
-        self._layout = None
+        self.bins = slice(j0, j1)
+        self.u_lo, self.u_hi = u[:-1], u[1:]
+        self.gaps, self.caps = np.diff(u), _decay_caps(self.u_hi, tau0)
+        self.slots, self.keep = slots, keep
+        self.layout = None
+
+
+class _BinModel:
+    """Unit-n0 binned model, without background, for fixed edges, tau0 and
+    t_pump: ``bin_expected_counts`` is n0 times its ``unit_counts`` plus the
+    background term.
+
+    A pass runs over blocks of _BLOCK_BINS contiguous bins, last block
+    first, and holds its output and one block.  A block owns the
+    breakpoints in its span, from its first edge up to the next block's:
+    its edges and the edges + t_pump that fall there.  It integrates each
+    piece it owns once, continues the plateau's suffix sums from the carry
+    the block after it left, and reads the sums and pieces up to one t_pump
+    ahead that its plateaus and falling edges reach from a window it
+    shares with that block.
+    Each piece, sum and bin is the same floating-point operation in the
+    same order as in one block over the whole binning, so the counts do
+    not depend on the block size.
+
+    A model used once keeps nothing.  From its second pass on it keeps
+    every block's set-up and last panel layout, and builds a new layout
+    only when a new tau_d changes the block's panel counts or orders.  A
+    layout in which every piece has at most one panel, the coarsest these
+    edges allow, keeps its nodes from its second pass on; the finer layouts
+    that a small tau_d needs are rebuilt on each pass, so the memory a
+    model holds stays that of one coarse pass.  The edges must not change
+    while the model lives.
+    """
+
+    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float):
+        self.edges, self.tau0, self.t_pump = edges, tau0, t_pump
+        self.n_bins = len(edges) - 1
+        self._kept, self._passes = None, 0
+
+    def _setups(self):
+        """Each block's set-up, last block first."""
+        edges, t_pump, n = self.edges, self.t_pump, self.n_bins
+        starts = range(0, n, _BLOCK_BINS)
+        # the block from starts[q] owns edges[shifted[q]:shifted[q + 1]] + t_pump
+        shifted = np.append(_first_reaching(edges, t_pump, edges[starts]), n + 1)
+        window = _Window((2,))  # breakpoints X_k and X_k - u_k^2
+        for q in reversed(range(len(starts))):
+            j0, j1 = starts[q], min(starts[q] + _BLOCK_BINS, n)
+            last = j1 == n  # the last block also owns the last edge and all beyond it
+            x = np.unique(np.concatenate([edges[j0:j1 + last], edges[shifted[q]:shifted[q + 1]] + t_pump]))
+            u = np.sqrt(x if last else np.append(x, edges[j1]))  # and the next block's first
+            keep = 0 if last else int(np.searchsorted(window.view()[0], edges[j1] + t_pump)) + 1
+            wx, wsq = window.prepend(len(x), keep)
+            wx[:len(x)], wsq[:len(x)] = x, _square_residual(x, u[:len(x)])
+            yield _Block(edges, j0, j1, t_pump, self.tau0, u, len(x), keep, wx, wsq)
+
+    def _layout(self, block: _Block, tau_d: float) -> _PanelLayout:
+        """The block's panel layout at tau_d: its last one while the panel
+        counts and orders stay the same."""
+        counts = _panel_counts(block.gaps, block.caps, tau_d)
+        orders = _panel_orders(block.gaps, counts, block.caps, tau_d)
+        layout = block.layout
+        if layout is None or not (np.array_equal(counts, layout.counts) and np.array_equal(orders, layout.orders)):
+            block.layout = None  # free the old nodes before building new ones
+            block.layout = layout = _PanelLayout(block.u_lo, block.u_hi, counts, orders, self.tau0, moments=True)
+        elif layout.kept is None and counts.max() <= 1:  # a coarse layout's second pass
+            layout.keep()
+        return layout
 
     def _sums(self, tau_d: float, modulation, k: int = 1) -> np.ndarray:
         """(k, bins) unit-n0 expected counts for k modulation factors."""
-        counts = _panel_counts(self.gaps, self.caps, tau_d)
-        orders = _panel_orders(self.gaps, counts, self.caps, tau_d)
-        layout = self._layout
-        if layout is None or not (np.array_equal(counts, layout.counts) and np.array_equal(orders, layout.orders)):
-            self._layout = layout = None  # free the old nodes before building new ones
-            self._layout = layout = _PanelLayout(self.u[:-1], self.u[1:], counts, orders, self.tau0, moments=True)
-        elif layout.kept is None and counts.max() <= 1:  # a coarse layout's second pass
-            layout.keep()
-        out, n = [], len(self.lvl)
-        for m0, left, right in layout.integrate(modulation, k):
-            hi, lo = _suffix_sums(m0)
-            flat = (hi[self.i1] - hi[self.i2]) + (lo[self.i1] - lo[self.i2])
-            rise = np.bincount(self.rise_bin, left[self.rise] + self.rise_off * m0[self.rise], minlength=n)
-            fall = np.bincount(self.fall_bin, right[self.fall] + self.fall_off * m0[self.fall], minlength=n)
-            out.append(rise + self.lvl * flat + fall)
-        return np.array(out)
+        self._passes += 1
+        if self._kept is None and self._passes > 1:
+            self._kept = list(self._setups())
+        out = np.empty((k, self.n_bins))
+        window = _Window((4, k))  # M0 and R of the pieces, and the suffix sums hi and lo
+        for block in self._kept if self._kept is not None else self._setups():
+            sums = self._layout(block, tau_d).integrate(modulation, k)
+            n, nb = sums.shape[-1], len(block.lvl)
+            w = window.prepend(block.slots, block.keep)
+            w[0, :, :n], w[1, :, :n] = sums[:, 0], sums[:, 2]
+            if n < block.slots:  # the last breakpoint, with nothing beyond it
+                w[:, :, n] = 0.0
+            for row, left, m0, right, hi, lo in zip(out[:, block.bins], sums[:, 1], *w):
+                _suffix_sums(m0[:n], hi[:n + 1], lo[:n + 1])
+                flat = (hi[block.i1] - hi[block.i2]) + (lo[block.i1] - lo[block.i2])
+                rise = np.bincount(block.rise_bin, left[block.rise] + block.rise_off * m0[block.rise], minlength=nb)
+                fall = np.bincount(block.fall_bin, right[block.fall] + block.fall_off * m0[block.fall], minlength=nb)
+                row[:] = rise + block.lvl * flat + fall
+        return out
 
     def unit_counts(self, p: BeatParams, kernel: str = "cos2") -> np.ndarray:
         """Unit-n0 counts at p's tau_d and phi0 (p.tau0 must be this model's)."""
@@ -638,9 +746,15 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
     for bins and pump windows far shorter than tau0 included.  Beyond
     that, only the rounding of the beat phase sqrt(t / tau_d) itself
     remains, about eps times the phase.
+
+    The bins are evaluated in blocks of _BLOCK_BINS (see ``_BinModel``),
+    so at any bin count a call holds at most its output, one more array of
+    that size and one block: 2.4 MB at 1.2-s bins and t_pump 3600 s.
     """
     edges = _checked_edges(edges)
     if not p.t_pump > 0.0:
         raise DomainError("t_pump must be positive")
-    unit = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)
-    return p.n0 * unit + p.background * p.t_pump * np.diff(edges)
+    counts = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)
+    counts *= p.n0
+    counts += p.background * p.t_pump * np.diff(edges)
+    return counts

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the seed check of its
+random draws.
 
 The CLI maps these onto exit codes: DomainError and StructuralError exit
 with 1, configuration/usage problems exit with 2.
 """
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -15,3 +18,9 @@ class StructuralError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or contains unknown keys."""
+
+
+def _check_seed(seed) -> None:
+    """Raise ``DomainError`` unless ``seed`` is a nonnegative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_seed
 from .geometry import LatticeSpec, TriGammaGeometry, verify_bragg
 
 
@@ -106,6 +106,7 @@ def cancellation_residual(
         )
     if n_sites < 0:
         raise DomainError("n_sites must be nonnegative")
+    _check_seed(seed)
     if n_sites == 0:
         warnings.warn("n_sites = 0: cancellation residual is trivially 0", stacklevel=2)
         return 0.0

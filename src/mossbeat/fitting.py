@@ -41,8 +41,9 @@ lattice point of least chi2 found by comparison within 2 lattice steps
 of the best one the steps reached.
 
 What depends only on the bin edges, tau0 and t_pump, the binning, has one
-owner, a ``_Binning``: the binned model with its panel layout (about 0.2 MB
-at 600 bins, 18 MB at 60 000), the screen's unit-n0 columns for its tau_d
+owner, a ``_Binning``: the binned model, which keeps each block's set-up
+and panel layout from its second pass on (0.2 MB at 600 bins, 17 MB at
+60 000 of 1.2 s, after a screen), the screen's unit-n0 columns for its tau_d
 grid (2 x grid x bins doubles: 0.6 MB for 61 grid points and 600 bins,
 59 MB at 60 000) and the derivative pass at the last best grid point (4 x
 bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  A fit takes its
@@ -251,7 +252,7 @@ class _Binning:
 
     def __init__(self, key: tuple, edges: np.ndarray, tau0: float, t_pump: float):
         self.key = key
-        self.model = _BinModel(edges, tau0, t_pump)
+        self.model = _BinModel(edges.copy(), tau0, t_pump)
         self._screen = self._deriv = (None, None)
 
     def screen(self, taus: np.ndarray) -> np.ndarray:
@@ -261,7 +262,7 @@ class _Binning:
         grid, kept = taus.tobytes(), self._screen
         if kept[0] != grid:
             self._screen = kept = (None, None)  # free the old grid's columns first
-            cols = np.empty((len(taus), 2, len(self.model.lvl)))
+            cols = np.empty((len(taus), 2, self.model.n_bins))
             for row, tau in zip(cols, taus):
                 row[:] = self.model.phase_columns(float(tau))
             cols.setflags(write=False)

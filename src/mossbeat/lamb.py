@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_seed
 from .geometry import TriGammaGeometry
 
 _MODELS = ("longitudinal-gaussian", "isotropic-gaussian", "explicit-samples")
@@ -39,6 +39,7 @@ class DisplacementEnsemble:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.model not in _MODELS:
             raise DomainError(f"unknown model {self.model!r}, expected one of {_MODELS}")
         if self.model == "explicit-samples":

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .beat import BeatParams, _checked_edges, bin_expected_counts
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, _check_seed
 
 _CHANNELS = ("gamma", "kalpha")
 # metadata-only detector windows (keV): 1 keV around the 40-keV gamma,
@@ -187,6 +187,7 @@ def simulate_counts(
     to ``default_rng``.  Results are reproducible for a fixed seed, and
     one channel's counts do not depend on the other channel's model.
     """
+    _check_seed(seed)
     if not width > 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
     if not horizon >= width:

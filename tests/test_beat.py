@@ -17,6 +17,7 @@ from mossbeat import (
     bin_expected_counts,
     count_rate,
     kalpha_bin_expected,
+    simulate_counts,
     tau_d,
 )
 from mossbeat.beat import (
@@ -417,7 +418,7 @@ def test_phase_column_derivatives_match_richardson_difference(td):
     d, s, dd, ds = model.phase_columns(td, derivs=True)
     assert np.array_equal(np.stack([d, s]), np.stack(model.phase_columns(td)))
     if td == 0.01:
-        assert _panel_counts(model.gaps, model.caps, td).max() > 1
+        assert max(_panel_counts(block.gaps, block.caps, td).max() for block in model._setups()) > 1
 
     def central(h):
         up, down = np.stack(model.phase_columns(td + h)), np.stack(model.phase_columns(td - h))
@@ -490,6 +491,49 @@ def test_bin_model_matches_bin_by_bin_quadrature(tau0, td, phi0, t_pump, edges, 
     k = kalpha_bin_expected(1.0, tau0, t_pump, edges)
     live = k >= 1e-3 * k.max()
     assert np.max(np.abs(got - ref)[live] / k[live]) <= 1e-12
+
+
+_BLOCK_CASES = {
+    # name: (edges, params, a tau_d for the phase columns)
+    "longrun-like": (1.2 * np.arange(6001), BeatParams(n0=5.0, tau0=4857.0, tau_d=4274.0, phi0=0.3), 4274.0),
+    "criterion11": (np.linspace(0.0, 14400.0, 601), BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3), 485.7),
+    "longer-than-t_pump": (np.concatenate([[0.0], np.cumsum(np.random.default_rng(4).uniform(50.0, 400.0, 300))]),
+                           BeatParams(n0=3.0, tau0=4857.0, tau_d=700.0, phi0=1.1, t_pump=100.0), 700.0),
+    "irregular-background": (300.0 + np.concatenate([[0.0], np.cumsum(np.random.default_rng(5).uniform(0.05, 5.0, 2000))]),
+                             BeatParams(n0=2.0, tau0=2000.0, tau_d=250.0, phi0=0.4, t_pump=500.0, background=0.03),
+                             250.0),
+    "several-panels": (24.0 * np.arange(301), BeatParams(n0=4.0, tau0=4857.0, tau_d=0.01, phi0=0.3), 0.01),
+}
+
+
+def _block_outputs(edges, p, td):
+    model = _BinModel(edges, p.tau0, p.t_pump)
+    return [bin_expected_counts(p, edges, "cos2"), bin_expected_counts(p, edges, "j0sq"),
+            *model.phase_columns(td), *model.phase_columns(td, True)]
+
+
+def _simulated_counts():
+    return [s.counts for width, n0 in ((1.2, 5.0), (24.0, 4.0))
+            for s in simulate_counts(BeatParams(n0=n0, tau_d=485.7, phi0=0.3), 10.0, width, 7200.0, seed=5)]
+
+
+def test_bin_model_does_not_depend_on_block_size(monkeypatch):
+    # every piece, suffix-sum step and bin is the same floating-point
+    # operation in the same order at any block size; in blocks of 7 bins
+    # each plateau and falling edge reaches across many blocks, and the
+    # derivative pass runs on the blocks the model keeps from its second
+    # pass on
+    from mossbeat import beat
+
+    edges, p, td = _BLOCK_CASES["several-panels"]
+    assert max(_panel_counts(block.gaps, block.caps, td).max()
+               for block in _BinModel(edges, p.tau0, p.t_pump)._setups()) > 1
+    default = {name: _block_outputs(*case) for name, case in _BLOCK_CASES.items()}
+    sims = _simulated_counts()
+    monkeypatch.setattr(beat, "_BLOCK_BINS", 7)
+    for name, case in _BLOCK_CASES.items():
+        assert all(np.array_equal(a, b) for a, b in zip(_block_outputs(*case), default[name])), name
+    assert all(np.array_equal(a, b) for a, b in zip(_simulated_counts(), sims))
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,19 @@ def test_fit_bad_data_exits_1(tmp_path, capsys, content, message):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["flm", "--set", "ensemble.seed=-5"],
+], ids=["simulate", "flm"])
+def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed must be a nonnegative integer, got -")
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_set_flag_requires_equals(capsys):
     assert run_cli(["estimate", "--set", "justakey"]) == 2
     capsys.readouterr()

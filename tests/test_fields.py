@@ -67,6 +67,13 @@ def test_cancellation_at_lattice_sites(bragg_geom, lattice111):
     assert residual <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_cancellation_rejects_bad_seed(bragg_geom, lattice111, seed):
+    # a negative seed used to reach numpy's ValueError
+    with pytest.raises(DomainError, match=f"^seed must be a nonnegative integer, got {seed!r}$"):
+        cancellation_residual(bragg_geom, lattice111, 5, seed=seed)
+
+
 def test_cancellation_requires_bragg_match(open_geom, lattice111):
     with pytest.raises(DomainError):
         cancellation_residual(open_geom, lattice111, n_sites=10)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import mossbeat
-from mossbeat import fit_beat
+from mossbeat import beat, fit_beat, fitting
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "fit_digest.py"
 _SPEC = importlib.util.spec_from_file_location("fit_digest", _PATH)
@@ -39,3 +39,16 @@ def test_table_has_323_distinct_fits():
     stub.fit_beat = lambda series, cfg: (series, cfg)
     labels = [label for label, _ in fit_digest.fits(stub)]
     assert len(labels) == len(set(labels)) == 323
+
+
+def test_fit_does_not_depend_on_block_size(monkeypatch):
+    # 2 000 bins in blocks of 7: the fit's kept blocks, their layouts and
+    # nodes give the fit of the default blocks bit for bit
+    true = mossbeat.BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0)
+    gamma, _ = mossbeat.simulate_counts(true, 1.0, 7.2, 14400.0, seed=8)
+    cfg = mossbeat.FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0), bounds={"tau_d": (100.0, 1e4)})
+    monkeypatch.setattr(fitting, "_kept", None)
+    default = fit_digest._encode(fit_beat(gamma, cfg))
+    monkeypatch.setattr(fitting, "_kept", None)
+    monkeypatch.setattr(beat, "_BLOCK_BINS", 7)
+    assert fit_digest._encode(fit_beat(gamma, cfg)) == default

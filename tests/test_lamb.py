@@ -12,6 +12,13 @@ from mossbeat import (
 )
 
 
+def test_ensemble_rejects_negative_seed():
+    # it used to be accepted, and numpy's ValueError came out of flm_coherent_mc
+    with pytest.raises(DomainError, match="^seed must be a nonnegative integer, got -1$"):
+        DisplacementEnsemble(sigma=1e-12, n_samples=10, seed=-1)
+    assert DisplacementEnsemble(sigma=1e-12, n_samples=10, seed=np.int64(3)).seed == 3
+
+
 def test_closed_form_expression(bragg_geom):
     sigma = 3.0e-12
     arg = bragg_geom.k_mag * np.cos(bragg_geom.theta) * sigma

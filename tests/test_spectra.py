@@ -194,6 +194,12 @@ def test_kalpha_bin_expected_rejects_bad_edges_and_times(tau0, t_pump, edges, me
 # --------------------------------------------------------- simulate_counts
 
 
+def test_simulate_rejects_negative_seed():
+    # it used to raise numpy's "expected non-negative integer"
+    with pytest.raises(DomainError, match="^seed must be a nonnegative integer, got -1$"):
+        simulate_counts(BeatParams(), 1.0, 24.0, 14400.0, seed=-1)
+
+
 def test_simulate_counts_deterministic():
     p = BeatParams(n0=50.0, tau_d=485.7, phi0=0.3)
     a_gamma, a_kalpha = simulate_counts(p, 10.0, 600.0, 36000.0, seed=5)

@@ -1,9 +1,10 @@
-"""Print one SHA-256 over every ``FitResult`` field of a fixed table of fits.
+"""Print one SHA-256 over every ``FitResult`` field of a fixed table of fits,
+and over the binned model on a fixed table of binnings beyond 600 bins.
 
     python tools/fit_digest.py SRC [--list]
 
 SRC is the source directory of a mossbeat checkout, the one that holds the
-``mossbeat`` package (``src`` at the root of this repository).  The table:
+``mossbeat`` package (``src`` at the root of this repository).  The fits:
 
 - 5 truths x seeds 100-103 x counts and ratio x 8 fit configurations (320
   fits) on criterion 11's binning, 24 s bins over 14 400 s;
@@ -11,12 +12,20 @@ SRC is the source directory of a mossbeat checkout, the one that holds the
 - the beatless seed-41 data (n0 = 0, background 0.02) with all four
   parameters free.
 
-Every field is hashed exactly: floats by their hex form, the covariance by
-its bytes.  Two checkouts whose fits agree bit for bit print the same
-digest on one machine.  Another BLAS build can round differently, so no
-digest is stored; compare two checkouts on the same machine.  ``--list``
-prints one line per fit (its label, its own digest, tau_d and chi2) before
-the digest.
+The models, each ``bin_expected_counts`` with both kernels:
+
+- the ``longrun`` benchmark's binning, 60 000 bins of 1.2 s, with the
+  default beat, and ``simulate_counts`` of that beat with kalpha scale 10
+  and seed 5 on it;
+- 3 000 bins of 50-400 s (seed 7) with t_pump 100 s, shorter than the bins;
+- 20 000 irregular bins of 0.05-5 s (seed 9) from 300 s, with background.
+
+Every field and value is hashed exactly: floats by their hex form, arrays
+by their bytes.  Two checkouts whose fits and models agree bit for bit
+print the same digest on one machine.  Another BLAS build can round
+differently, so no digest is stored; compare two checkouts on the same
+machine.  ``--list`` prints one line per entry (its label, its own digest,
+and tau_d and chi2 for a fit, the total for a model) before the digest.
 """
 
 from __future__ import annotations
@@ -92,6 +101,24 @@ def fits(mb):
     yield "beatless/41/counts", mb.fit_beat(both(beatless, 41)["counts"], cfg)
 
 
+def models(mb):
+    """(label, value) for every model of the table, in order."""
+    default = mb.RunConfig.default().beat()
+    rng = np.random.default_rng
+    binnings = {
+        "longrun": (1.2 * np.arange(60001), default),
+        "long-bins": (np.concatenate([[0.0], np.cumsum(rng(7).uniform(50.0, 400.0, 3000))]),
+                      mb.BeatParams(n0=3.0, tau0=4857.0, tau_d=700.0, phi0=1.1, t_pump=100.0)),
+        "irregular": (300.0 + np.concatenate([[0.0], np.cumsum(rng(9).uniform(0.05, 5.0, 20000))]),
+                      mb.BeatParams(n0=2.0, tau0=2000.0, tau_d=250.0, phi0=0.4, t_pump=500.0, background=0.03)),
+    }
+    for name, (edges, params) in binnings.items():
+        for kernel in ("cos2", "j0sq"):
+            yield f"model/{name}/{kernel}", mb.bin_expected_counts(params, edges, kernel)
+    for series in mb.simulate_counts(default, 10.0, 1.2, 72000.0, seed=5):
+        yield f"model/longrun/simulate/{series.channel}", series
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="source directory holding the mossbeat package")
@@ -102,14 +129,17 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import mossbeat as mb
 
-    total, count = hashlib.sha256(), 0
-    for label, out in fits(mb):
-        text = _encode(out).encode()
-        total.update(text)
-        count += 1
-        if args.list:
-            print(label, hashlib.sha256(text).hexdigest()[:16], repr(out.params.tau_d), repr(out.chi2))
-    print(f"{total.hexdigest()}  {count} fits")
+    total, count = hashlib.sha256(), {"fits": 0, "models": 0}
+    for kind, table in (("fits", fits(mb)), ("models", models(mb))):
+        for label, out in table:
+            text = _encode(out).encode()
+            total.update(text)
+            count[kind] += 1
+            if args.list:
+                shown = (out.params.tau_d, out.chi2) if kind == "fits" else (
+                    float(np.sum(getattr(out, "counts", out))),)
+                print(label, hashlib.sha256(text).hexdigest()[:16], *map(repr, shown))
+    print(f"{total.hexdigest()}  {count['fits']} fits, {count['models']} models")
     return 0
 
 
