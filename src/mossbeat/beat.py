@@ -18,13 +18,13 @@ decay length tau0 / (2 u), and given the fewest nodes, 4 to 12, that keep
 the error bound of a 12-node panel at a full cap.  The binned model
 integrates the rate once over the pieces between the union of all bins'
 breakpoints and builds every bin from those pieces.  It runs over blocks
-of contiguous bins, last block first: each block builds only the
-breakpoints in its own span, integrates the pieces it owns and continues
-the compensated suffix sums of the bins' plateaus from the carry that the
-block after it left.  A call therefore holds its output plus one block
-(with the pieces up to one t_pump ahead that the block's bins reach) at
-any bin count, and its counts are bit for bit those of one block over the
-whole binning.
+of contiguous bins, last block first: each block takes from the edges
+alone the breakpoints its bins reach, integrates the pieces it owns and
+continues the compensated suffix sums of the bins' plateaus from the carry
+that the block after it left.  A call therefore holds its output plus one
+block (with the pieces up to one t_pump ahead that the block's bins
+reach) at any bin count, and its counts are bit for bit those of one
+block over the whole binning.
 
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
@@ -216,14 +216,18 @@ class BeatParams:
             raise DomainError(f"phi0 must be finite, got {self.phi0!r}")
 
 
+def _check_kernel(kernel: str) -> None:
+    if kernel not in _KERNELS:
+        raise DomainError(f"unknown kernel {kernel!r}, expected one of {_KERNELS}")
+
+
 def _beat_factor(x, p: BeatParams, kernel: str):
     """Modulation at beat argument x = sqrt(t / tau_d)."""
+    _check_kernel(kernel)
     if kernel == "cos2":
         return np.cos(x + p.phi0) ** 2
-    if kernel == "j0sq":
-        # phi0 has no role in this kernel; the beat argument starts at 0
-        return bessel_j0(x) ** 2
-    raise DomainError(f"unknown kernel {kernel!r}, expected one of {_KERNELS}")
+    # phi0 has no role in the j0sq kernel; the beat argument starts at 0
+    return bessel_j0(x) ** 2
 
 
 def _modulation(t, p: BeatParams, kernel: str):
@@ -471,15 +475,14 @@ class _PanelLayout:
     panel counts and orders.
 
     Each interval yields the integral M0 of the unit-n0 rate over tau in
-    [u_lo^2, u_hi^2] and, with ``moments``, also L = int (tau - u_lo^2) g
-    and R = int (u_hi^2 - tau) g.  Each evaluation builds the node blocks
+    [u_lo^2, u_hi^2] and its moments L = int (tau - u_lo^2) g and
+    R = int (u_hi^2 - tau) g.  Each evaluation builds the node blocks
     one at a time, which bounds the memory of a single large pass, until
     ``keep`` builds them once for every later evaluation.
     """
 
-    def __init__(self, u_lo, u_hi, counts, orders, tau0: float, moments: bool = False):
+    def __init__(self, u_lo, u_hi, counts, orders, tau0: float):
         self.u_lo, self.u_hi, self.counts, self.orders, self.tau0 = u_lo, u_hi, counts, orders, tau0
-        self.moments = moments
         self.kept = None
 
     def keep(self):
@@ -499,21 +502,18 @@ class _PanelLayout:
         d_lo = (pos + x) * h  # u - u_lo, free of cancellation
         u = lo[local][:, None] + d_lo
         w = weights * h * u * np.exp(-(u * u) / self.tau0)  # dtau = 2 u du
-        if self.moments:
-            d_hi = (n[local][:, None] - pos - x) * h  # u_hi - u
-            w = np.stack([w, w * d_lo * (u + lo[local][:, None]), w * d_hi * (hi[local][:, None] + u)])
-        else:
-            w = w[None]
+        d_hi = (n[local][:, None] - pos - x) * h  # u_hi - u
+        w = np.stack([w, w * d_lo * (u + lo[local][:, None]), w * d_hi * (hi[local][:, None] + u)])
         return idx, first, u, w
 
     def integrate(self, modulation, k: int = 1) -> np.ndarray:
-        """Sums of shape (k, m, intervals) of the weighted unit-n0 rate, m = 3
-        (M0, L, R) with moments and 1 (M0) without.
+        """Sums of shape (k, 3, intervals) of the weighted unit-n0 rate: M0, L
+        and R.
 
         ``modulation(u)`` returns k arrays of modulation factors at the
         nodes u = sqrt(tau), each shaped like ``u``.
         """
-        sums = np.zeros((k, 3 if self.moments else 1, len(self.counts)))
+        sums = np.zeros((k, 3, len(self.counts)))
         blocks = self.kept if self.kept is not None else (self._block(*b) for b in _blocks(self.counts, self.orders))
         for cols, first, u, w in blocks:
             for row, vals in zip(sums, modulation(u)):
@@ -529,18 +529,6 @@ def _decay_beat_integrals(u_lo: np.ndarray, u_hi: np.ndarray, p: BeatParams, ker
     return layout.integrate(lambda u: (_beat_factor(u / np.sqrt(p.tau_d), p, kernel),))[0, 0]
 
 
-def _first_reaching(edges: np.ndarray, t_pump: float, targets: np.ndarray) -> np.ndarray:
-    """For each target, the first i with edges[i] + t_pump >= target, or
-    len(edges): a bisection on the rounded sums, which never fall as i
-    rises."""
-    lo, hi = np.zeros(len(targets), dtype=int), np.full(len(targets), len(edges))
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        reach = edges[np.minimum(mid, len(edges) - 1)] + t_pump >= targets
-        lo, hi = np.where(reach | (lo == hi), lo, mid + 1), np.where(reach & (lo < hi), mid, hi)
-    return lo
-
-
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owning bin and slot of every slot in [lo_i, hi_i)."""
     n = hi - lo
@@ -548,44 +536,15 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(n.sum()) - (np.cumsum(n) - n)[owner] + lo[owner]
 
 
-class _Window:
-    """The breakpoint slots that one block of a backward pass reads: its own,
-    then the first ``keep`` of the block after it, held as the slots
-    [start, start + length) along the last axis of an array shaped ``rows +
-    (capacity,)``.  Each block's slots go in front of the window; only when
-    the front runs out does the window move to the back of the array, which
-    is first made twice as long as needed if it is too short."""
-
-    def __init__(self, rows: tuple):
-        self.array = np.empty(rows + (0,))
-        self.start = self.length = 0
-
-    def view(self) -> np.ndarray:
-        return self.array[..., self.start:self.start + self.length]
-
-    def prepend(self, n: int, keep: int) -> np.ndarray:
-        """Open n slots in front of the window's first ``keep`` and return the
-        new window."""
-        if self.start < n:
-            old, cap = self.array, self.array.shape[-1]
-            if cap < n + keep:  # exactly n for the first block, which may be the only one
-                cap = 2 * (n + keep) if cap else n
-                self.array = np.empty(old.shape[:-1] + (cap,))
-            self.array[..., cap - keep:] = old[..., self.start:self.start + keep]
-            self.start = cap - keep
-        self.start -= n
-        self.length = n + keep
-        return self.view()
-
-
 class _Block:
     """The set-up of the bins [j0, j1): the u-intervals of the pieces the
-    block owns, and the slots of its window where its bins' rising edges,
-    plateaus and falling edges lie.  Its window is its own ``slots``
-    breakpoints followed by the first ``keep`` of the block after it."""
+    block owns, and the slots of its window ``x`` where its bins' rising
+    edges, plateaus and falling edges lie.  It owns the first ``slots``
+    breakpoints; the other ``keep`` begin the window of the block after it."""
 
     def __init__(self, edges: np.ndarray, j0: int, j1: int, t_pump: float, tau0: float,
-                 u: np.ndarray, slots: int, keep: int, x: np.ndarray, x_sq: np.ndarray):
+                 x: np.ndarray, slots: int):
+        x_sq = _square_residual(x, np.sqrt(x))
         a, b = edges[j0:j1], edges[j0 + 1:j1 + 1]
         e = b + t_pump
         short = b - a <= t_pump
@@ -603,9 +562,10 @@ class _Block:
         e_res = _sum_residual(b, t_pump, e)[self.fall_bin]
         self.fall_off = ((e[self.fall_bin] - x[self.fall + 1]) + x_sq[self.fall + 1]) + e_res
         self.bins = slice(j0, j1)
+        u = np.sqrt(x[:slots + 1])  # each owned breakpoint to the next, the last to the next block's first
         self.u_lo, self.u_hi = u[:-1], u[1:]
         self.gaps, self.caps = np.diff(u), _decay_caps(self.u_hi, tau0)
-        self.slots, self.keep = slots, keep
+        self.slots, self.keep = slots, len(x) - slots
         self.layout = None
 
 
@@ -615,13 +575,13 @@ class _BinModel:
     background term.
 
     A pass runs over blocks of _BLOCK_BINS contiguous bins, last block
-    first, and holds its output and one block.  A block owns the
-    breakpoints in its span, from its first edge up to the next block's:
-    its edges and the edges + t_pump that fall there.  It integrates each
-    piece it owns once, continues the plateau's suffix sums from the carry
-    the block after it left, and reads the sums and pieces up to one t_pump
-    ahead that its plateaus and falling edges reach from a window it
-    shares with that block.
+    first, and holds its output and one block.  A block's window is every
+    edge and edge + t_pump from its first edge to its last edge + t_pump,
+    as far as its plateaus and falling edges reach.  It owns those below
+    the next block's first edge (the last block all of them) and
+    integrates each piece it owns once.  The rest of its window begins the
+    next block's window, whose sums it joins to its own, and it continues
+    the plateau's suffix sums from the carry that block left.
     Each piece, sum and bin is the same floating-point operation in the
     same order as in one block over the whole binning, so the counts do
     not depend on the block size.
@@ -639,24 +599,23 @@ class _BinModel:
     def __init__(self, edges: np.ndarray, tau0: float, t_pump: float):
         self.edges, self.tau0, self.t_pump = edges, tau0, t_pump
         self.n_bins = len(edges) - 1
+        # block q: the bins [j0, j1) = bounds[q:q + 2] and the first i with edges[i] + t_pump >= edges[j0],
+        # found here so that the search's temporary of the binning's length is gone before a pass starts
+        self._bounds = np.append(np.arange(0, self.n_bins, _BLOCK_BINS), self.n_bins)
+        self._shifted = np.searchsorted(edges + t_pump, edges[self._bounds[:-1]])
         self._kept, self._passes = None, 0
 
     def _setups(self):
         """Each block's set-up, last block first."""
         edges, t_pump, n = self.edges, self.t_pump, self.n_bins
-        starts = range(0, n, _BLOCK_BINS)
-        # the block from starts[q] owns edges[shifted[q]:shifted[q + 1]] + t_pump
-        shifted = np.append(_first_reaching(edges, t_pump, edges[starts]), n + 1)
-        window = _Window((2,))  # breakpoints X_k and X_k - u_k^2
-        for q in reversed(range(len(starts))):
-            j0, j1 = starts[q], min(starts[q] + _BLOCK_BINS, n)
-            last = j1 == n  # the last block also owns the last edge and all beyond it
-            x = np.unique(np.concatenate([edges[j0:j1 + last], edges[shifted[q]:shifted[q + 1]] + t_pump]))
-            u = np.sqrt(x if last else np.append(x, edges[j1]))  # and the next block's first
-            keep = 0 if last else int(np.searchsorted(window.view()[0], edges[j1] + t_pump)) + 1
-            wx, wsq = window.prepend(len(x), keep)
-            wx[:len(x)], wsq[:len(x)] = x, _square_residual(x, u[:len(x)])
-            yield _Block(edges, j0, j1, t_pump, self.tau0, u, len(x), keep, wx, wsq)
+        for q in reversed(range(len(self._shifted))):
+            (j0, j1), i0 = self._bounds[q:q + 2], self._shifted[q]
+            # the window: every edge and edge + t_pump in [edges[j0], edges[j1] + t_pump]
+            reach = np.searchsorted(edges, edges[j1] + t_pump, "right")
+            x = np.unique(np.concatenate([edges[j0:reach], edges[i0:j1 + 1] + t_pump]))
+            # the block owns those below the next block's first edge, the last block all
+            slots = len(x) if j1 == n else int(np.searchsorted(x, edges[j1]))
+            yield _Block(edges, j0, j1, t_pump, self.tau0, x, slots)
 
     def _layout(self, block: _Block, tau_d: float) -> _PanelLayout:
         """The block's panel layout at tau_d: its last one while the panel
@@ -666,7 +625,7 @@ class _BinModel:
         layout = block.layout
         if layout is None or not (np.array_equal(counts, layout.counts) and np.array_equal(orders, layout.orders)):
             block.layout = None  # free the old nodes before building new ones
-            block.layout = layout = _PanelLayout(block.u_lo, block.u_hi, counts, orders, self.tau0, moments=True)
+            block.layout = layout = _PanelLayout(block.u_lo, block.u_hi, counts, orders, self.tau0)
         elif layout.kept is None and counts.max() <= 1:  # a coarse layout's second pass
             layout.keep()
         return layout
@@ -677,15 +636,16 @@ class _BinModel:
         if self._kept is None and self._passes > 1:
             self._kept = list(self._setups())
         out = np.empty((k, self.n_bins))
-        window = _Window((4, k))  # M0 and R of the pieces, and the suffix sums hi and lo
+        buf = np.empty((4, k, 0))  # M0 and R of the window's pieces, and the suffix sums hi and lo
         for block in self._kept if self._kept is not None else self._setups():
             sums = self._layout(block, tau_d).integrate(modulation, k)
             n, nb = sums.shape[-1], len(block.lvl)
-            w = window.prepend(block.slots, block.keep)
-            w[0, :, :n], w[1, :, :n] = sums[:, 0], sums[:, 2]
-            if n < block.slots:  # the last breakpoint, with nothing beyond it
-                w[:, :, n] = 0.0
-            for row, left, m0, right, hi, lo in zip(out[:, block.bins], sums[:, 1], *w):
+            # the last breakpoint, with nothing beyond it, keeps its zeros
+            joined = np.zeros((4, k, block.slots + block.keep))
+            joined[..., block.slots:] = buf[..., :block.keep]
+            buf = joined
+            buf[0, :, :n], buf[1, :, :n] = sums[:, 0], sums[:, 2]
+            for row, left, m0, right, hi, lo in zip(out[:, block.bins], sums[:, 1], *buf):
                 _suffix_sums(m0[:n], hi[:n + 1], lo[:n + 1])
                 flat = (hi[block.i1] - hi[block.i2]) + (lo[block.i1] - lo[block.i2])
                 rise = np.bincount(block.rise_bin, left[block.rise] + block.rise_off * m0[block.rise], minlength=nb)

@@ -156,7 +156,16 @@ def _cmd_beat(cfg: RunConfig, args) -> int:
     return _emit_table(args, payload, ["t_s", "intensity"], [[_fmt(t), _fmt(v)] for t, v in curve])
 
 
+def _require_cos2(cfg: RunConfig, command: str) -> None:
+    """simulate and fit model the cos2 kernel only: the simulator draws from
+    it, and the fit's variable projection rests on its phase columns."""
+    kernel = cfg.kernel()
+    if kernel != "cos2":
+        raise DomainError(f"{command} models beat.kernel 'cos2' only, got {kernel!r}")
+
+
 def _cmd_simulate(cfg: RunConfig, args) -> int:
+    _require_cos2(cfg, "simulate")
     width, horizon = cfg.binning()
     gamma, kalpha = simulate_counts(
         cfg.beat(), float(cfg.scalar("kalpha_scale", 0.0)), width, horizon, seed=cfg.seed()
@@ -175,6 +184,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_fit(cfg: RunConfig, args) -> int:
+    _require_cos2(cfg, "fit")
     series = read_count_series(args.data)
     result = fit_beat(series, cfg.fit())
     payload = {

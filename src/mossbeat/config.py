@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .beat import BeatParams
+from .beat import BeatParams, _check_kernel
 from .constants import RhodiumParams, photon_wavenumber
 from .errors import ConfigError, DomainError
 from .fitting import FitConfig
@@ -174,7 +174,9 @@ class RunConfig:
         return BeatParams(**kw)
 
     def kernel(self) -> str:
-        return self._section("beat").get("kernel", "cos2")
+        kernel = self._section("beat").get("kernel", "cos2")
+        _check_kernel(kernel)
+        return kernel
 
     def binning(self) -> tuple[float, float]:
         b = self._section("binning")

@@ -42,8 +42,8 @@ of the best one the steps reached.
 
 What depends only on the bin edges, tau0 and t_pump, the binning, has one
 owner, a ``_Binning``: the binned model, which keeps each block's set-up
-and panel layout from its second pass on (0.2 MB at 600 bins, 17 MB at
-60 000 of 1.2 s, after a screen), the screen's unit-n0 columns for its tau_d
+and panel layout from its second pass on (0.19 MB at 600 bins, 17.6 MB
+at 60 000 of 1.2 s, after a screen), the screen's unit-n0 columns for its tau_d
 grid (2 x grid x bins doubles: 0.6 MB for 61 grid points and 600 bins,
 59 MB at 60 000) and the derivative pass at the last best grid point (4 x
 bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  A fit takes its
@@ -106,7 +106,9 @@ class FitConfig:
     ``base`` supplies every parameter that is not free (tau0 and t_pump
     are never fitted).  Free parameters need no start: tau_d comes from
     a grid over its bounds, phi0, n0 and background are solved at each
-    tau_d the fit evaluates.
+    tau_d the fit evaluates.  Each lower bound lies in its parameter's
+    domain, whether the parameter is free or not: at least 0 for n0 and
+    background, above 0 for tau_d.
     """
 
     free_params: tuple[str, ...] = ("n0", "tau_d", "phi0")
@@ -127,6 +129,10 @@ class FitConfig:
                 raise DomainError(f"bounds given for unknown parameter {name!r}")
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise DomainError(f"bounds for {name} must be finite with lo < hi, got ({lo!r}, {hi!r})")
+            if name == "tau_d" and not lo > 0.0:
+                raise DomainError(f"lower bound for tau_d must be positive, got {lo!r}")
+            if name in _LINEAR and lo < 0.0:
+                raise DomainError(f"lower bound for {name} must be nonnegative, got {lo!r}")
         object.__setattr__(self, "free_params", free)
         object.__setattr__(self, "bounds", merged)
 
@@ -480,8 +486,6 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     free = cfg.free_params
     base = cfg.base
     bounds = cfg.bounds
-    if "tau_d" in free and bounds["tau_d"][0] <= 0.0:
-        raise DomainError("tau_d lower bound must be positive")
     data = _WeightedSeries(series, base.tau0, base.t_pump)
     lin = [i for i, name in enumerate(_LINEAR) if name in free]
     lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T

@@ -307,6 +307,24 @@ def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+@pytest.mark.parametrize("kernel, message", [
+    ("j0sq", "error: {} models beat.kernel 'cos2' only, got 'j0sq'"),
+    ("foo", "error: unknown kernel 'foo', expected one of"),
+])
+def test_simulate_and_fit_need_cos2_kernel(tmp_path, monkeypatch, capsys, command, kernel, message):
+    # both used to ignore beat.kernel: simulate wrote the cos2 series and fit
+    # fitted cos2, for j0sq and for an unknown name alike; fit checks the
+    # kernel before it reads its data
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--set", f"beat.kernel={kernel}"] + (["--data", "absent.csv"] if command == "fit" else [])
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message.format(command))
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_set_flag_requires_equals(capsys):
     assert run_cli(["estimate", "--set", "justakey"]) == 2
     capsys.readouterr()

@@ -99,6 +99,8 @@ def test_kernel_selection():
     assert cfg.kernel() == "j0sq"
     # the kernel tag must not leak into BeatParams construction
     assert cfg.beat() == BeatParams()
+    with pytest.raises(DomainError, match="unknown kernel 'foo'"):
+        RunConfig({"beat": {"kernel": "foo"}}).kernel()
 
 
 def test_flm_estimator_validation():

@@ -185,6 +185,19 @@ def test_fit_config_validation():
         FitConfig(tolerance=0.0)
 
 
+@pytest.mark.parametrize("name, lo, free, domain", [
+    ("n0", -5.0, ("n0", "tau_d", "phi0", "background"), "nonnegative"),
+    ("background", -0.1, ("n0", "tau_d", "phi0", "background"), "nonnegative"),
+    ("tau_d", 0.0, ("n0", "phi0"), "positive"),
+])
+def test_fit_config_rejects_lower_bound_outside_domain(name, lo, free, domain):
+    # checked up front: a negative n0 or background bound used to pass and
+    # fail only after the whole fit, when the result's BeatParams was built,
+    # and a tau_d bound of 0 is rejected even with tau_d fixed
+    with pytest.raises(DomainError, match=f"lower bound for {name} must be {domain}, got "):
+        FitConfig(free_params=free, bounds={name: (lo, 10.0)})
+
+
 def test_fit_free_background():
     p = replace(TRUE, background=0.02)
     gamma, _ = simulate_counts(p, 5.0, 24.0, 14400.0, seed=31)
