@@ -187,8 +187,17 @@ def _count_rows(path) -> CountSeries:
     return CountSeries(channel, table["t_start_s"], table["width_s"], table["counts"])
 
 
+def _ratio_fields(lineno, fields):
+    """Checks a ratio row's ratio and sigma, already floats in its table row:
+    sigma is positive where both are finite (a valid bin)."""
+    ratio, sigma = fields
+    if math.isfinite(ratio) and math.isfinite(sigma) and sigma <= 0.0:
+        raise StructuralError(f"line {lineno}: sigma must be positive on valid bins, got {sigma!r}")
+    return (), None
+
+
 def _ratio_rows(path) -> RatioSeries:
-    table, _ = _table_rows(path, RATIO_HEADER, 4, lambda lineno, fields: ((), None), _RATIO_DTYPE)
+    table, _ = _table_rows(path, RATIO_HEADER, 4, _ratio_fields, _RATIO_DTYPE)
     return _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
 
 
@@ -197,8 +206,9 @@ def _table_rows(path, header, n_floats, read_fields, dtype):
     share (None where there are no rows).
 
     A row's first ``n_floats`` fields are floats, the times first;
-    ``read_fields(lineno, fields)`` reads the rest and returns their values
-    and the shared field.  An empty table gives a warning.
+    ``read_fields(lineno, fields)`` checks the schema's own fields, those
+    after the times (the floats among them already parsed), and returns the
+    values of the rest and the shared field.  An empty table gives a warning.
     """
     rows, shared = [], None
     for lineno, row in _csv_rows(path, header):
@@ -214,7 +224,7 @@ def _table_rows(path, header, n_floats, read_fields, dtype):
         for name, v in (("t_start_s", t), ("width_s", w)):
             if not math.isfinite(v):
                 raise StructuralError(f"line {lineno}: {name} must be finite, got {v!r}")
-        values, key = read_fields(lineno, row[n_floats:])
+        values, key = read_fields(lineno, floats[2:] + row[n_floats:])
         if w <= 0.0:
             raise StructuralError(f"line {lineno}: width must be positive, got {w!r}")
         if rows and key != shared:

@@ -46,13 +46,11 @@ and panel layout from its second pass on (0.19 MB at 600 bins, 17.6 MB
 at 60 000 of 1.2 s, after a screen), the screen's unit-n0 columns for its tau_d
 grid (2 x grid x bins doubles: 0.6 MB for 61 grid points and 600 bins,
 59 MB at 60 000) and the derivative pass at the last best grid point (4 x
-bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  A fit takes its
+bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  The process keeps the
+binning of the last fit (``_binning``), so a further fit on it builds no
+model and, with tau_d free, screens without a panel pass.  A fit takes its
 binning once, at its start, and holds it to the end, so fits running
-concurrently in threads give the results of serial fits.  The process
-keeps the binning of the last full screen, and repeated fits on it screen
-without a panel pass and build no model, until a full screen on another
-binning replaces it.  A fit with tau_d fixed takes one panel pass, with
-the kept binning's model when that is its binning, and keeps no binning.
+concurrently in threads give the results of serial fits.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1)), Neyman's
@@ -65,7 +63,7 @@ fitted n0 is measured in units of the fluorescence scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,21 +211,11 @@ class _WeightedSeries:
         k = kalpha_bin_expected(1.0, tau0, t_pump, edges)[keep]
         denom = k if ratio else 1.0
         self.edges, self.keep, self.denom = edges, keep, denom
-        self.tau0, self.t_pump = tau0, t_pump
         self.sig = sig[keep]
         self.y = obs[keep] / self.sig
         self.background = t_pump * np.diff(edges)[keep] / denom / self.sig
         self.half_k = 0.5 * k / denom / self.sig
         self.evaluations = 0
-
-    @cached_property
-    def binning(self) -> _Binning:
-        """The kept binning when it is this series', else a new one."""
-        key = self.edges.tobytes(), float(self.tau0), float(self.t_pump)
-        kept = _kept
-        if kept is not None and kept.key == key:
-            return kept
-        return _Binning(key, self.edges, self.tau0, self.t_pump)
 
     def columns(self, phase) -> np.ndarray:
         """The model columns at each of a stack of tau_d, shape (points, bins,
@@ -249,16 +237,15 @@ class _WeightedSeries:
 class _Binning:
     """What a fit computes from one binning alone, kept for the next fit on it.
 
-    ``key`` is the edges' bytes, tau0 and t_pump; ``model`` the ``_BinModel``
-    with its kept panel layout.  ``screen`` and ``derivative_pass`` keep their
-    last result as one (argument, value) pair, read and replaced in one step,
-    so a fit never pairs one tau_d with another's columns.  Nothing derived
-    from the data (kept bins, sigma, denominator) goes in.
+    ``model`` is the ``_BinModel`` with its kept panel layout.  ``screen``
+    and ``derivative_pass`` keep their last result as one (argument, value)
+    pair, read and replaced in one step, so a fit never pairs one tau_d with
+    another's columns.  Nothing derived from the data (kept bins, sigma,
+    denominator) goes in.
     """
 
-    def __init__(self, key: tuple, edges: np.ndarray, tau0: float, t_pump: float):
-        self.key = key
-        self.model = _BinModel(edges.copy(), tau0, t_pump)
+    def __init__(self, edges: np.ndarray, tau0: float, t_pump: float):
+        self.model = _BinModel(edges, tau0, t_pump)
         self._screen = self._deriv = (None, None)
 
     def screen(self, taus: np.ndarray) -> np.ndarray:
@@ -286,8 +273,13 @@ class _Binning:
         return kept[1]
 
 
-# the binning of the last full screen, or None
-_kept = None
+@lru_cache(maxsize=1)
+def _binning(edges: bytes, tau0: float, t_pump: float) -> _Binning:
+    """The binning of the float64 ``edges``, tau0 and t_pump; the process
+    keeps the last one asked for.  The model reads a read-only view of the
+    key's bytes, so its edges cannot change while it lives.  A new binning
+    evicts the old one before its first pass."""
+    return _Binning(np.frombuffer(edges), tau0, t_pump)
 
 
 def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -474,19 +466,22 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     ``FitStart``, the screen's best grid point (with tau_d fixed, its one
     point), when tau_d or phi0 is free.
 
+    A series with fewer kept bins than free parameters raises
+    ``StructuralError``.
+
     A fit holds the kept work of its binning (its edges, tau0 and t_pump)
     from start to end, so fits running concurrently in threads return what
-    serial fits return.  The process keeps the binning of the last full
-    screen.  A further fit on it builds no model and makes no screen pass,
-    nor a pass at its best grid point when that is the previous fit's; its
-    result is bit for bit that of a fit on a binning kept by none.  A full
-    screen on another binning replaces the kept one, and a fit with tau_d
-    fixed never does.
+    serial fits return.  The process keeps the binning of the last fit.  A
+    further fit on it builds no model and makes no screen pass, nor a pass
+    at its best grid point when that is the previous fit's; its result is
+    bit for bit that of a fit on a binning kept by none.
     """
     free = cfg.free_params
     base = cfg.base
     bounds = cfg.bounds
     data = _WeightedSeries(series, base.tau0, base.t_pump)
+    if len(data.y) < len(free):
+        raise StructuralError(f"series has {len(data.y)} kept bins, fewer than its {len(free)} free parameters")
     lin = [i for i, name in enumerate(_LINEAR) if name in free]
     lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
     coef = (base.n0, base.background)
@@ -549,20 +544,17 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         return 2.0 * np.dot(m, residuals(pt)), 2.0 * np.dot(m, m)
 
     tau, starts = float(base.tau_d), []
-    binning = data.binning  # this fit's throughout, whatever binning another fit keeps
+    # this fit's binning throughout, whatever binning a later fit keeps
+    binning = _binning(data.edges.tobytes(), float(base.tau0), float(base.t_pump))
     if "tau_d" not in free:  # one pass
         final = fit_at(tau)
         if "phi0" in free:
             starts.append(FitStart(tau, _wrap(final.phase, phase_lo, periodic), final.chi,
                                    data.evaluations, True, "best of 1 tau_d grid points"))
     else:
-        # screen: the exact-phase profile chi2(tau_d) on a log grid; only a
-        # full screen replaces the kept binning, freeing the old one first
-        global _kept
-        _kept = None
+        # screen: the exact-phase profile chi2(tau_d) on a log grid
         z_grid, taus = _tau_grid(bounds["tau_d"])
         phase = binning.screen(taus)
-        _kept = binning
         step = max(1, _STACK_ROWS // len(data.y))  # points per stack
         stacks = [_qr_pieces(data.columns(phase[i:i + step]), data.y) for i in range(0, len(taus), step)]
         pieces = [np.concatenate(p) for p in zip(*stacks)]

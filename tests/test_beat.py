@@ -253,6 +253,15 @@ def test_beat_curve_j0sq_against_midpoint():
         assert val == pytest.approx(ref, rel=1e-7)
 
 
+def test_zero_t_pump_is_a_domain_error():
+    # BeatParams accepts t_pump = 0; the models that accumulate over it do not
+    p = BeatParams(t_pump=0.0)
+    with pytest.raises(DomainError, match="^t_pump must be positive to accumulate$"):
+        beat_curve(p, [0.0, 1.0])
+    with pytest.raises(DomainError, match="^t_pump must be positive$"):
+        bin_expected_counts(p, [0.0, 1.0, 2.0])
+
+
 def test_beat_curve_grid_checks():
     p = BeatParams()
     with pytest.raises(DomainError):

@@ -146,6 +146,16 @@ def test_simulate_writes_reproducible_files(tmp_path, capsys):
     assert len(gamma) == 30
 
 
+def test_simulate_without_out_writes_the_configured_files(tmp_path, monkeypatch, capsys):
+    # the packaged config names gamma.csv and kalpha.csv, in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["simulate", "--set", "binning.width_s=600", "--set", "binning.horizon_s=6000"]) == 0
+    assert capsys.readouterr().out == "gamma.csv\nkalpha.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.csv", "kalpha.csv"]
+    assert read_count_series(tmp_path / "gamma.csv").channel == "gamma"
+    assert read_count_series(tmp_path / "kalpha.csv").channel == "kalpha"
+
+
 def test_seed_flag_changes_counts(tmp_path, capsys):
     base = ["simulate", "--set", "binning.width_s=600", "--set", "binning.horizon_s=6000"]
     a = str(tmp_path / "a")
@@ -282,7 +292,10 @@ def test_exit_codes(tmp_path, capsys):
     (b"t_start_s,width_s,counts,channel\n-360.0,360.0,50,gamma\n0.0,360.0,40,gamma\n360.0,360.0,30,gamma\n"
      b"720.0,360.0,25,gamma\n1080.0,360.0,20,gamma\n",
      "error: edges must be finite, nonnegative and strictly increasing\n"),
-], ids=["count-beyond-int64", "infinite-width", "binary", "negative-start"])
+    # fewer bins than the three free parameters
+    (b"t_start_s,width_s,counts,channel\n0,24,5,gamma\n24,24,7,gamma\n",
+     "error: series has 2 kept bins, fewer than its 3 free parameters\n"),
+], ids=["count-beyond-int64", "infinite-width", "binary", "negative-start", "two-bins"])
 @pytest.mark.filterwarnings("error")
 def test_fit_bad_data_exits_1(tmp_path, capsys, content, message):
     data = tmp_path / "data.csv"
@@ -395,16 +408,33 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, argv,
     ["fieldmap", "--set", "fieldmap.extent_cells=-1"],
     ["fieldmap", "--set", "fieldmap.n=1"],
     ["beat", "--set", "beat.tau0=-5"],
+    ["beat", "--set", "beat.t_pump=0"],
+    ["simulate", "--set", "beat.t_pump=0"],
 ], ids=["beat_grid.n", "beat_grid.t_stop_s", "beat_grid.t_start_s", "fieldmap.extent_cells", "fieldmap.n",
-        "beat.tau0"])
-def test_config_value_out_of_range_exits_1(capsys, argv):
+        "beat.tau0", "beat.t_pump", "simulate-beat.t_pump"])
+def test_config_value_out_of_range_exits_1(tmp_path, monkeypatch, capsys, argv):
     # a well-typed value outside its range is a domain error, whichever
     # section it sits in
+    monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--set", 'binning={"width_s":24}'], "error: binning section needs 'horizon_s'\n"),
+    (["beat", "--set", 'beat_grid={"n":5}'], "error: beat_grid section needs 't_start_s'\n"),
+], ids=["binning", "beat_grid"])
+def test_config_section_missing_key_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not list(tmp_path.iterdir())
 
 
 def test_fieldmap_center_of_wrong_shape_exits_2(capsys):

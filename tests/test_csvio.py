@@ -259,11 +259,12 @@ def test_ratio_read_rejects_nonfinite_times(tmp_path):
     ("ratio", "0,inf,abc,0.1\n", "line 2: bad number: could not convert string to float: 'abc'"),
     ("ratio", "nan,-1,0.5,0.1\n", "line 2: t_start_s must be finite, got nan"),
     ("ratio", "0,1,0.5,0.1\n5,-1,0.5,0.1\n", "line 3: width must be positive, got -1.0"),
+    ("ratio", "0,1,0.5,0.1\n5,-1,0.5,0\n", "line 3: sigma must be positive on valid bins, got 0.0"),
 ])
 def test_read_reports_the_first_check_a_row_fails(tmp_path, kind, rows, message):
     # each row breaks more than one rule; the readers check the field count,
-    # the numbers, finite times, the counts, positive width, the channel and
-    # contiguity, in that order
+    # the numbers, finite times, the counts or a valid bin's sigma, positive
+    # width, the channel and contiguity, in that order
     read = read_count_series if kind == "count" else read_ratio_series
     path = tmp_path / "bad.csv"
     path.write_text(",".join(COUNT_HEADER if kind == "count" else RATIO_HEADER) + "\n" + rows)

@@ -47,8 +47,8 @@ def test_fit_does_not_depend_on_block_size(monkeypatch):
     true = mossbeat.BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0)
     gamma, _ = mossbeat.simulate_counts(true, 1.0, 7.2, 14400.0, seed=8)
     cfg = mossbeat.FitConfig(base=replace(true, n0=1.0, tau_d=2000.0, phi0=0.0), bounds={"tau_d": (100.0, 1e4)})
-    monkeypatch.setattr(fitting, "_kept", None)
+    fitting._binning.cache_clear()
     default = fit_digest._encode(fit_beat(gamma, cfg))
-    monkeypatch.setattr(fitting, "_kept", None)
+    fitting._binning.cache_clear()
     monkeypatch.setattr(beat, "_BLOCK_BINS", 7)
     assert fit_digest._encode(fit_beat(gamma, cfg)) == default

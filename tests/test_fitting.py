@@ -12,6 +12,7 @@ from mossbeat import (
     CountSeries,
     DomainError,
     FitConfig,
+    RatioSeries,
     StructuralError,
     bin_expected_counts,
     chi2,
@@ -55,6 +56,27 @@ def test_chi2_rejects_empty():
     empty = SimpleNamespace(edges=np.array([0.0]), counts=np.array([]))
     with pytest.raises(StructuralError):
         chi2(empty, BeatParams())
+
+
+_SHORT = CountSeries("gamma", [0.0, 24.0], [24.0, 24.0], [5, 7])
+
+
+@pytest.mark.parametrize("series, free, message", [
+    (_SHORT, ("n0", "tau_d", "phi0"), "series has 2 kept bins, fewer than its 3 free parameters"),
+    (_SHORT, ("n0", "tau_d", "phi0", "background"), "series has 2 kept bins, fewer than its 4 free parameters"),
+    (RatioSeries([0.0, 1.0, 2.0, 3.0], [1.0] * 4, [0.5, np.nan, 0.4, np.nan], [0.1, np.nan, 0.1, np.nan],
+                 [True, False, True, False], [False] * 4),
+     ("n0", "tau_d", "phi0"), "series has 2 kept bins, fewer than its 3 free parameters"),
+    (RatioSeries([0.0, 1.0], [1.0, 1.0], [np.nan] * 2, [np.nan] * 2, [False] * 2, [False] * 2),
+     ("n0", "tau_d", "phi0"), "series has no valid bins with positive sigma"),
+], ids=["counts", "counts-background-free", "ratio-invalid-bins", "ratio-none-valid"])
+def test_fit_rejects_fewer_kept_bins_than_free_parameters(series, free, message):
+    # two bins and three free parameters used to return dof -1, converged
+    # and a finite covariance; chi2 alone stays legal on a short series
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        fit_beat(series, FitConfig(free_params=free))
+    if isinstance(series, CountSeries):
+        assert chi2(series, BeatParams()) >= 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -357,10 +379,18 @@ def cold_screen(monkeypatch):
     """Drops the kept binning for the test; returns a function that drops
     it again."""
     def clear():
-        monkeypatch.setattr(fitting, "_kept", None)
+        fitting._binning.cache_clear()
 
     clear()
     return clear
+
+
+def _kept(series, base):
+    """The kept binning when it is that of ``series`` and ``base``, else None
+    (and that binning is kept from then on)."""
+    hits = fitting._binning.cache_info().hits
+    binning = fitting._binning(np.asarray(series.edges, dtype=float).tobytes(), base.tau0, base.t_pump)
+    return binning if fitting._binning.cache_info().hits > hits else None
 
 
 @pytest.fixture
@@ -419,7 +449,7 @@ def test_screen_cache_misses_on_other_model_inputs(cold_screen, pass_counter, ch
 def test_screen_cache_is_read_only(cold_screen):
     gamma, _, cfg = _criterion11_seed1000()
     fit_beat(gamma, cfg)
-    cols = fitting._kept.screen(fitting._tau_grid(cfg.bounds["tau_d"])[1])
+    cols = _kept(gamma, cfg.base).screen(fitting._tau_grid(cfg.bounds["tau_d"])[1])
     assert cols.shape == (61, 2, len(gamma))
     assert not cols.flags.writeable
     with pytest.raises(ValueError):
@@ -497,22 +527,23 @@ def models_built(monkeypatch):
     return built
 
 
-def test_slot_kept_by_fixed_tau_d_fits_and_replaced_by_other_binning(cold_screen, models_built):
-    # a fit with tau_d fixed (n0 and phi0, or phi0 alone) never replaces the
-    # kept binning; a full screen on another binning does, and only a fit on
-    # a binning other than the kept one builds a model
+def test_slot_keeps_the_binning_of_the_last_fit(cold_screen, models_built):
+    # every fit, with tau_d free or fixed (n0 and phi0, or phi0 alone),
+    # leaves its binning kept, and only a fit on a binning other than the
+    # kept one builds a model
     gamma, _, cfg = _criterion11_seed1000()
     other, _ = simulate_counts(replace(TRUE, n0=4.0), 1.0, 48.0, 14400.0, seed=1001)
     fixed = FitConfig(free_params=("n0", "phi0"), base=cfg.base)
     phi0_only = FitConfig(free_params=("phi0",), base=replace(cfg.base, n0=4.0))
-    runs = [(gamma, cfg), (other, fixed), (gamma, phi0_only), (other, cfg), (other, cfg), (gamma, fixed)]
-    keys = []
+    runs = [(gamma, cfg), (other, fixed), (gamma, phi0_only), (other, cfg), (other, cfg), (gamma, fixed),
+            (gamma, phi0_only)]
+    built = []
     for series, c in runs:
+        models_built[0] = 0
         fit_beat(series, c)
-        keys.append(fitting._kept.key[0])
-    a, b = gamma.edges.tobytes(), other.edges.tobytes()
-    assert keys == [a, a, a, b, b, b]
-    assert models_built[0] == 4  # A's screen, B fixed, B's screen, A fixed
+        built.append(models_built[0])
+        assert _kept(series, c.base) is not None
+    assert built == [1, 1, 1, 1, 0, 1, 0]
 
 
 def test_slot_second_fit_makes_one_derivative_pass_fewer(cold_screen, derivative_passes, models_built):
@@ -548,7 +579,7 @@ def test_slot_holds_one_derivative_pass(cold_screen):
         out = fit_beat(gamma, cfg)
         assert _result_fields(out) == ref
         grid_points.append(out.starts[0].tau_d)
-        tau, deriv = fitting._kept._deriv
+        tau, deriv = _kept(gamma, cfg.base)._deriv
         assert tau == grid_points[-1]
         assert deriv.shape == (4, len(gamma)) and not deriv.flags.writeable
     assert grid_points[0] != grid_points[1]  # premise: the pass was replaced
@@ -577,7 +608,7 @@ def test_fit_keeps_its_binning_when_another_fit_runs_mid_fit(cold_screen, monkey
 
     monkeypatch.setattr(fitting, "_qr_pieces", interrupted)
     assert _result_fields(fit_beat(gamma, cfg)) == clean
-    assert fitting._kept.key[2] == 1800.0  # premise: the other fit replaced the kept binning
+    assert _kept(other, other_cfg.base) is not None  # premise: the other fit replaced the kept binning
 
 
 def test_fits_in_threads_equal_serial_fits(cold_screen):
@@ -620,7 +651,8 @@ def test_stacked_columns_equal_columns_one_point_at_a_time():
     for series in (gamma, ratio):
         for derivs in (False, True):
             data = fitting._WeightedSeries(series, TRUE.tau0, TRUE.t_pump)
-            phase = np.array([data.binning.model.phase_columns(float(t), derivs) for t in taus])
+            model = _BinModel(data.edges, TRUE.tau0, TRUE.t_pump)
+            phase = np.array([model.phase_columns(float(t), derivs) for t in taus])
             stacked = data.columns(phase)
             assert stacked.shape == (len(taus), len(data.y), 6 if derivs else 4)
             for i, cols in enumerate(stacked):
@@ -746,7 +778,8 @@ def test_zoom_min_rows_independent_of_stacking():
     # over it alone gives
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    cols = data.columns(np.array([data.binning.model.phase_columns(tau, True) for tau in (30.0, 485.7, 1e6)]))
+    model = _BinModel(data.edges, cfg.base.tau0, cfg.base.t_pump)
+    cols = data.columns(np.array([model.phase_columns(tau, True) for tau in (30.0, 485.7, 1e6)]))
     pieces = fitting._qr_pieces(cols, data.y)
     alone = [fitting._qr_pieces(cols[i:i + 1], data.y) for i in range(len(cols))]
     for i, one in enumerate(alone):
@@ -802,7 +835,8 @@ def test_phase_profile_matches_bounded_lstsq(lin, background):
     # bin of the model columns, stacked rows and a slow beat included
     gamma, _, cfg = _criterion11_seed1000()
     data = fitting._WeightedSeries(gamma, cfg.base.tau0, cfg.base.t_pump)
-    cols = data.columns(np.array([data.binning.model.phase_columns(tau) for tau in (30.0, 485.7, 1e6)]))
+    model = _BinModel(data.edges, cfg.base.tau0, cfg.base.t_pump)
+    cols = data.columns(np.array([model.phase_columns(tau) for tau in (30.0, 485.7, 1e6)]))
     coef = (3.7, background)
     lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
     phases = np.linspace(0.0, np.pi, 64) + np.array([[0.0], [0.01], [0.02]])
