@@ -3,7 +3,8 @@
 Subcommands: estimate, bragg, fieldmap, flm, beat, simulate, fit,
 normalize.  All read one JSON config (packaged defaults when --config is
 omitted, overridable key by key with --set).  Exit codes: 0 success,
-1 domain/computation error, 2 usage or configuration error.
+1 domain/computation error or a closed stdout pipe, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -283,7 +285,17 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        # flush here, so that a reader that closed the pipe early (as
+        # ``| head`` does) is seen inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull, so that its
+        # flush at interpreter exit does not fail again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,46 +6,57 @@ repr precision, so write-then-read is lossless; invalid ratio bins are
 stored as NaN pairs.  Readers validate structure and report the first
 offending line by number.
 
-Each reader first tries one numpy pass: the exact header, then every data
-row through ``np.loadtxt`` and the checks on whole columns.  Where that pass
-declines a file or finds anything wrong, the row-by-row reader reads it
-again; it is the authority on which files are accepted and on every error
-message, so both paths return the same series or raise the same error.
+The writers format ``_BLOCK_BINS`` rows at a time, each column of a block
+in one ``repr`` of its list, so the text of a whole file is never held.
+
+Each reader first tries one numpy pass.  It reads the file in binary,
+checks the exact header and then scans the rest in chunks of
+``_SCAN_BYTES`` for bytes outside printable ASCII and "\n" and for a line
+longer than the csv module's field size limit.  It then parses every data
+row from the same open file through ``np.loadtxt`` and checks whole
+columns.  Where that pass declines a file or finds anything wrong, the
+row-by-row reader reads it again; it is the authority on which files are
+accepted and on every error message, so both paths return the same series
+or raise the same error.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-import io
-import itertools
 import math
 import warnings
 
 import numpy as np
 
 from .errors import StructuralError
-from .spectra import _EDGE_RTOL, CountSeries, RatioSeries
+from .spectra import _CHANNELS, _EDGE_RTOL, CountSeries, RatioSeries
 
 COUNT_HEADER = ["t_start_s", "width_s", "counts", "channel"]
 RATIO_HEADER = ["t_start_s", "width_s", "ratio", "sigma"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _COUNT_DTYPE = np.dtype([("t_start_s", "f8"), ("width_s", "f8"), ("counts", "i8"), ("channel", "O")])
+# the numpy pass reads the channel as bytes one wider than the longest
+# valid channel: a longer name is cut to that width, which no valid
+# channel has, so the cut name is rejected and the row reader names it
+_COUNT_TABLE_DTYPE = np.dtype([("t_start_s", "f8"), ("width_s", "f8"), ("counts", "i8"),
+                               ("channel", f"S{max(map(len, _CHANNELS)) + 1}")])
 _RATIO_DTYPE = np.dtype([(name, "f8") for name in RATIO_HEADER])
 # The numpy pass takes only files of printable ASCII and "\n".  numpy's
 # number parser skips some control characters (such as "\x1c") that
 # ``float`` and ``int`` reject, and its string fields drop trailing NULs.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
+# rows per block of the writers, and bytes per chunk of the reader's scan
+_BLOCK_BINS = 4096
+_SCAN_BYTES = 1 << 18
 
 
 def write_count_series(series: CountSeries, path) -> None:
     """Write a count series; one row per bin, fixed header."""
-    channel = series.channel
-    rows = zip(series.t_start.tolist(), _width_fields(series.width), series.counts.tolist())
+    columns = (series.t_start, _width_column(series.width), series.counts)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(COUNT_HEADER) + "\n")
-        fh.writelines(f"{t!r},{w},{c},{channel}\n" for t, w, c in rows)
+        _write_rows(fh, COUNT_HEADER, columns, f",{series.channel}\n")
 
 
 def read_count_series(path) -> CountSeries:
@@ -60,19 +71,41 @@ def read_count_series(path) -> CountSeries:
 def write_ratio_series(series: RatioSeries, path) -> None:
     """Write a ratio series to a file path or an open text stream (such as
     ``sys.stdout``); invalid bins become NaN ratio and sigma."""
-    rows = zip(series.t_start.tolist(), _width_fields(series.width), series.ratio.tolist(), series.sigma.tolist())
+    columns = (series.t_start, _width_column(series.width), series.ratio, series.sigma)
     with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
-        fh.write(",".join(RATIO_HEADER) + "\n")
-        fh.writelines(f"{t!r},{w},{r!r},{s!r}\n" for t, w, r, s in rows)
+        _write_rows(fh, RATIO_HEADER, columns, "\n")
 
 
-def _width_fields(width: np.ndarray):
-    """The ``repr`` of each width.  Widths are positive and finite, so equal
-    widths have one ``repr``; a uniform column, as ``simulate_counts`` and
-    ``rebin`` give, is formatted once."""
+def _width_column(width: np.ndarray):
+    """The widths, or their one ``repr`` where all are equal.  Widths are
+    positive and finite, so equal widths have one ``repr``; a uniform
+    column, as ``simulate_counts`` and ``rebin`` give, is formatted once."""
     if len(width) and (width == width[0]).all():
-        return itertools.repeat(repr(float(width[0])), len(width))
-    return map(repr, width.tolist())
+        return repr(float(width[0]))
+    return width
+
+
+def _write_rows(fh, header, columns, end):
+    """Write ``header``, then row k of ``columns`` joined by commas and
+    closed by ``end``, ``_BLOCK_BINS`` rows at a time.
+
+    A column is an array, each value written as its ``repr``, or a str
+    that every row shares.  Each array slice is formatted in one call, as
+    ``repr`` of its list, which writes each value as its own ``repr``.
+    """
+    fh.write(",".join(header) + "\n")
+    n = len(columns[0])
+    step = 2 * len(columns)
+    for i in range(0, n, _BLOCK_BINS):
+        rows = min(n - i, _BLOCK_BINS)
+        parts = [","] * (step * rows)
+        parts[step - 1::step] = [end] * rows
+        for k, column in enumerate(columns):
+            if isinstance(column, str):
+                parts[2 * k::step] = [column] * rows
+            else:
+                parts[2 * k::step] = repr(column[i:i + rows].tolist())[1:-1].split(", ")
+        fh.write("".join(parts))
 
 
 def read_ratio_series(path) -> RatioSeries:
@@ -107,35 +140,48 @@ def _load_table(path, header, dtype):
     None means the file is not plain enough for this pass: another header
     line, no data rows, a byte outside ``_PLAIN_BYTES``, or a line longer
     than the csv module's field size limit (where the row reader fails).
+    Those are checked over chunks of ``_SCAN_BYTES``, carrying the length
+    of the line that a chunk ends in; then ``np.loadtxt`` reads the rows
+    from the same open file.
     """
-    with open(path, newline="") as fh:
-        if fh.readline() != ",".join(header) + "\n":
+    head = (",".join(header) + "\n").encode("ascii")
+    limit = csv.field_size_limit()
+    line, data = 0, False
+    with open(path, "rb") as fh:
+        if fh.read(len(head)) != head:
             return None
-        raw = fh.read().encode("ascii")
-    if raw.translate(None, _PLAIN_BYTES) or not raw.strip(b"\n"):
-        return None
-    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if np.diff(breaks, prepend=-1, append=len(raw)).max() - 1 > csv.field_size_limit():
-        return None
-    # some numpy releases (1.23 on) parse a non-integer count such as "2.5"
-    # or "1e3" through a float, truncate it and only warn; any warning here
-    # is a decline, so such files go to the row reader, which rejects them
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None,
-                          quotechar=None, ndmin=1, encoding="ascii")
+        while chunk := fh.read(_SCAN_BYTES):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            # the length of each line in the chunk, the first one counted
+            # from its start in an earlier chunk, the last one so far
+            breaks = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            lengths = np.diff(breaks, prepend=-1 - line, append=len(chunk)) - 1
+            if lengths.max() > limit:
+                return None
+            line, data = int(lengths[-1]), data or bool(lengths.any())
+        if not data:
+            return None
+        fh.seek(len(head))
+        # some numpy releases (1.23 on) parse a non-integer count such as "2.5"
+        # or "1e3" through a float, truncate it and only warn; any warning here
+        # is a decline, so such files go to the row reader, which rejects them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                              quotechar=None, ndmin=1, encoding="ascii")
 
 
 def _count_table(path) -> CountSeries | None:
     # CountSeries checks the channel name, finite times, positive widths,
     # nonnegative counts and contiguity
-    table = _load_table(path, COUNT_HEADER, _COUNT_DTYPE)
+    table = _load_table(path, COUNT_HEADER, _COUNT_TABLE_DTYPE)
     if table is None:
         return None
     channel = table["channel"][0]
     if not (table["channel"] == channel).all():
         return None
-    return CountSeries(channel, table["t_start_s"], table["width_s"], table["counts"])
+    return CountSeries(channel.decode("ascii"), table["t_start_s"], table["width_s"], table["counts"])
 
 
 def _ratio_table(path) -> RatioSeries | None:

@@ -12,13 +12,16 @@ import pytest
 
 from mossbeat import (
     DEFAULT_RHODIUM,
+    BeatParams,
     RunConfig,
     doppler_speed_per_linewidth,
     fit_beat,
     natural_linewidth,
     read_count_series,
     read_ratio_series,
+    simulate_counts,
     thermal_strain_rate,
+    write_count_series,
 )
 import mossbeat
 from mossbeat.cli import run_cli
@@ -343,13 +346,17 @@ def test_set_flag_requires_equals(capsys):
     capsys.readouterr()
 
 
+def _fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports this mossbeat."""
+    src = str(Path(mossbeat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _scipy_modules_after(code: str) -> str:
     """The scipy modules loaded after ``code`` runs in a fresh interpreter
     (this test process has scipy loaded already)."""
-    src = str(Path(mossbeat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), check=True)
     return proc.stdout.strip()
 
 
@@ -376,6 +383,31 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "estimate"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("name,value")
+
+
+@pytest.mark.parametrize("command", ["normalize", "fieldmap"])
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, command):
+    # as in `mossbeat normalize ... | head -1`: the reader takes one line and
+    # closes the pipe while the command still writes (the 60 000-row ratio
+    # file and the default 1 681-point field map are far larger than a pipe)
+    argv = [command]
+    if command == "normalize":
+        for series in simulate_counts(BeatParams(), 10.0, 1.2, 72000.0, seed=3):
+            write_count_series(series, tmp_path / f"{series.channel}.csv")
+            argv += [f"--{series.channel}", str(tmp_path / f"{series.channel}.csv")]
+    env = _fresh_env()
+    # with PYTHONUNBUFFERED set, a write that the closed pipe cuts short
+    # returns its partial count and the rest is dropped without an error;
+    # the console script's stdout is buffered, so run the child that way
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "mossbeat.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -10,6 +10,7 @@ import pytest
 from mossbeat import (
     BeatParams,
     CountSeries,
+    DomainError,
     RatioSeries,
     StructuralError,
     normalize,
@@ -222,6 +223,59 @@ def test_writers_match_per_row_format_on_simulated_series(tmp_path):
     path = tmp_path / "r.csv"
     write_ratio_series(ratio, path)
     assert path.read_text() == _per_row_ratio_text(ratio)
+
+
+def _block_boundary_series(n, uniform):
+    """Count and ratio series of ``n`` bins with traps on both sides of each
+    block boundary of the writers: in the two rows before and the two rows
+    after it, an int64-max count, a NaN row and a 0.0 ratio on each side,
+    and (unless ``uniform``) a width unlike the others."""
+    b = csvio._BLOCK_BINS
+    width = np.full(n, 1.2)
+    counts = np.arange(n) % 97
+    ratio = np.linspace(0.1, 2.0, n)
+    sigma = np.full(n, 0.01)
+    for edge in (b, 2 * b):
+        near = np.arange(edge - 2, edge + 2)
+        near = near[near < n]
+        if not uniform:
+            width[near] = 0.7
+        counts[near] = 2**63 - 1
+        nan_rows, zero_rows = near[np.isin(near - edge, (-2, 1))], near[np.isin(near - edge, (-1, 0))]
+        ratio[nan_rows] = sigma[nan_rows] = np.nan
+        ratio[zero_rows] = 0.0
+    t_start = np.concatenate([[0.0], np.cumsum(width)[:-1]])[:n]
+    return CountSeries("gamma", t_start, width, counts), _ratio_of(t_start, width, ratio, sigma)
+
+
+# rows as (blocks, extra): blocks * B + extra rows for blocks of B rows
+_BLOCK_ROWS = {"0": (0, 0), "1": (0, 1), "B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B+1": (2, 1)}
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non_uniform"])
+@pytest.mark.parametrize("rows", list(_BLOCK_ROWS))
+def test_writers_match_per_row_format_at_block_boundaries(tmp_path, rows, uniform):
+    blocks, extra = _BLOCK_ROWS[rows]
+    counts, ratio = _block_boundary_series(blocks * csvio._BLOCK_BINS + extra, uniform)
+    path = tmp_path / "c.csv"
+    write_count_series(counts, path)
+    assert path.read_text() == _per_row_count_text(counts)
+    write_ratio_series(ratio, path)
+    assert path.read_text() == _per_row_ratio_text(ratio)
+    stream = io.StringIO()
+    write_ratio_series(ratio, stream)
+    assert stream.getvalue() == _per_row_ratio_text(ratio)
+
+
+def test_block_boundary_series_has_its_traps():
+    b = csvio._BLOCK_BINS
+    counts, ratio = _block_boundary_series(2 * b + 2, uniform=False)
+    for edge in (b, 2 * b):
+        before, after = slice(edge - 2, edge), slice(edge, edge + 2)
+        for side in (before, after):
+            assert (counts.counts[side] == 2**63 - 1).all() and (counts.width[side] == 0.7).all()
+            assert (~ratio.valid[side]).any() and ratio.low_count[side].any()
+
 
 # ----------------------------------------- non-finite times, int64, bad bytes
 
@@ -470,6 +524,60 @@ def test_reader_matches_row_reader_on_traps(tmp_path, kind, body):
     path = tmp_path / "trap.csv"
     path.write_text(",".join(COUNT_HEADER if kind == "count" else RATIO_HEADER) + "\n" + body, newline="")
     _assert_same_outcome(kind, path)
+
+
+_LIMIT = csv.field_size_limit()
+_CHUNK_TRAPS = {
+    # a line longer than the csv field size limit, over many chunks, and
+    # starting near a chunk's end
+    "long_line": ("count", f"0,1,3,gamma\n1,1,{' ' * (_LIMIT + 1)}4,gamma\n", 1000),
+    "long_line_small_chunks": ("count", f"0,1,3,gamma\n1,1,{' ' * (_LIMIT + 1)}4,gamma\n", 16),
+    # a non-plain byte in the last chunk: numpy would read "0.1\x1d" as 0.1
+    "control_byte_last": ("ratio", "0,1,0.5,0.1\n1,1,0.5,0.1\n2,1,0.5,0.1\x1d", 5),
+    "nul_last": ("count", "0,1,3,gamma\n1,1,4,gamma\n2,1,5,gamma\x00\n", 7),
+    # only newlines after the header
+    "newlines_count": ("count", "\n" * 40, 8),
+    "newlines_ratio": ("ratio", "\n" * 40, 8),
+    # a channel longer than the fixed-width field: the error names it whole
+    "long_channel": ("count", "0,1,3,kalphaXYZ\n1,1,4,kalphaXYZ\n", 8),
+    "long_channel_mixed": ("count", "0,1,3,kalpha\n1,1,4,kalphaXYZ\n", 8),
+}
+
+
+@pytest.mark.parametrize("trap", list(_CHUNK_TRAPS))
+def test_reader_matches_row_reader_across_scan_chunks(tmp_path, monkeypatch, trap):
+    kind, body, chunk = _CHUNK_TRAPS[trap]
+    monkeypatch.setattr(csvio, "_SCAN_BYTES", chunk)
+    header = ",".join(COUNT_HEADER if kind == "count" else RATIO_HEADER) + "\n"
+    path = tmp_path / "trap.csv"
+    path.write_text(header + body, newline="")
+    plain = body.encode().translate(None, csvio._PLAIN_BYTES)
+    if plain:  # premise: the bad byte is in the last chunk
+        assert body.encode().rindex(plain) >= (len(body) - 1) // chunk * chunk
+    _assert_same_outcome(kind, path)
+    read = _READERS[kind][0]
+    if trap == "long_channel":
+        with pytest.raises(DomainError, match="got 'kalphaXYZ'$"):
+            read(path)
+    elif trap.startswith("long_line"):
+        with pytest.raises(StructuralError, match="^line 3: field larger than field limit"):
+            read(path)
+
+
+@pytest.mark.parametrize("chunk", [1000, 4099, 1 << 18])
+def test_scan_counts_lines_across_chunks(tmp_path, monkeypatch, chunk):
+    # a line of exactly the field size limit stays in the numpy pass, one
+    # byte longer is declined, wherever the chunks break it
+    monkeypatch.setattr(csvio, "_SCAN_BYTES", chunk)
+    path = tmp_path / "long.csv"
+    for pad, taken in ((_LIMIT - 11, True), (_LIMIT - 10, False)):
+        line = f"0,1,0.5,{' ' * pad}0.1"
+        assert len(line) == _LIMIT + (not taken)  # premise
+        # the line first, and last without its "\n"
+        for body in (f"{line}\n1,1,0.5,0.1\n", f"-1,1,0.5,0.1\n{line}"):
+            path.write_text(",".join(RATIO_HEADER) + "\n" + body)
+            table = csvio._load_table(path, RATIO_HEADER, csvio._RATIO_DTYPE)
+            assert (table is not None) == taken
 
 
 def test_numpy_pass_declines_on_a_loadtxt_warning(tmp_path, monkeypatch):
