@@ -285,6 +285,13 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # under ``python -u`` or PYTHONUNBUFFERED stdout writes straight to
+        # the raw file, and a write that a closed pipe cuts short drops the
+        # rest of the text without an error; a buffered stdout completes
+        # each write or raises BrokenPipeError
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False)
     try:
         code = run_cli(sys.argv[1:])
         # flush here, so that a reader that closed the pipe early (as

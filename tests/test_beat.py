@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mossbeat import (
     BeatParams,
+    DisplacementEnsemble,
     DomainError,
     accumulated_intensity,
     beat_curve,
@@ -17,6 +18,8 @@ from mossbeat import (
     bessel_j0_asymptotic,
     bin_expected_counts,
     count_rate,
+    flm_coherent_mc,
+    flm_incoherent_mc,
     kalpha_bin_expected,
     normalize,
     read_ratio_series,
@@ -563,6 +566,29 @@ def test_bin_model_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_flm_mc_memory_is_bounded(bragg_geom):
+    # the Monte Carlo holds one vector of a batch's mode sums (16 bytes per
+    # sample over 32) and one chunk of draws and phases.  Warm, at 1e6
+    # samples (numpy 2.4) the traced peak is 1.04 MB coherent and 1.32 MB
+    # incoherent, and doubling the samples adds 0.50 and 0.72 MB; with a
+    # sample-sized index array and whole-batch temporaries it was 8.02 MB,
+    # and doubling added 8.0 MB
+    vector_growth = 16 * 1_000_000 / 32
+    for est, model in ((flm_coherent_mc, "longitudinal-gaussian"), (flm_incoherent_mc, "isotropic-gaussian")):
+        est(bragg_geom, DisplacementEnsemble(model=model, sigma=5e-12, n_samples=64))
+        peaks = []
+        for n in (1_000_000, 2_000_000):
+            ens = DisplacementEnsemble(model=model, sigma=5e-12, n_samples=n)
+            tracemalloc.start()
+            try:
+                est(bragg_geom, ens)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2e6  # 50 % above the incoherent 1.32 MB
+        assert peaks[1] - peaks[0] < 2 * vector_growth
 
 
 def _transient_bytes(call, *args):

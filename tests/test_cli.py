@@ -385,21 +385,21 @@ def test_console_script_installed():
     assert proc.stdout.startswith("name,value")
 
 
-@pytest.mark.parametrize("command", ["normalize", "fieldmap"])
-def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, command):
+@pytest.mark.parametrize("command, unbuffered", [
+    ("normalize", False), ("fieldmap", False), ("normalize", True), ("fieldmap", True),
+], ids=["normalize", "fieldmap", "normalize-unbuffered", "fieldmap-unbuffered"])
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, command, unbuffered):
     # as in `mossbeat normalize ... | head -1`: the reader takes one line and
     # closes the pipe while the command still writes (the 60 000-row ratio
-    # file and the default 1 681-point field map are far larger than a pipe)
+    # file and the default 1 681-point field map are far larger than a pipe).
+    # Under PYTHONUNBUFFERED too, where a raw write that the closed pipe
+    # cuts short would drop the rest of the text and let the command exit 0
     argv = [command]
     if command == "normalize":
         for series in simulate_counts(BeatParams(), 10.0, 1.2, 72000.0, seed=3):
             write_count_series(series, tmp_path / f"{series.channel}.csv")
             argv += [f"--{series.channel}", str(tmp_path / f"{series.channel}.csv")]
-    env = _fresh_env()
-    # with PYTHONUNBUFFERED set, a write that the closed pipe cuts short
-    # returns its partial count and the rest is dropped without an error;
-    # the console script's stdout is buffered, so run the child that way
-    env.pop("PYTHONUNBUFFERED", None)
+    env = dict(_fresh_env(), PYTHONUNBUFFERED="1" if unbuffered else "")  # empty: buffered
     proc = subprocess.Popen([sys.executable, "-m", "mossbeat.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()

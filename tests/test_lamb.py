@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mossbeat import (
     flm_coherent_mc,
     flm_incoherent_mc,
 )
+from mossbeat import lamb
 
 
 def test_ensemble_rejects_negative_seed():
@@ -158,3 +161,74 @@ def test_hard_bound_holds_across_thetas(k40):
         for est in (flm_coherent_mc, flm_incoherent_mc):
             out = est(geom, ens)
             assert -1e-12 <= out.value <= 9.0 + 3.0 * (out.stderr or 0.0) + 1e-12
+
+
+def _whole_batch_mc(geom, ens, coherent):
+    """(value, stderr) by the Monte Carlo over whole-batch arrays: the batch
+    sizes of np.array_split, one draw per batch from its spawned stream and
+    one mode sum over the batch."""
+    n_batches = min(32, ens.n_samples)
+    if ens.model == "explicit-samples":
+        batches = np.array_split(ens.samples, n_batches)
+    else:
+        batches = []
+        streams = np.random.SeedSequence(ens.seed).spawn(n_batches)
+        for idx, ss in zip(np.array_split(np.arange(ens.n_samples), n_batches), streams):
+            rng = np.random.default_rng(ss)
+            if ens.model == "longitudinal-gaussian":
+                u = np.zeros((len(idx), 3))
+                u[:, 2] = rng.normal(0.0, ens.sigma, size=len(idx)) if ens.sigma > 0 else 0.0
+            else:
+                u = rng.normal(0.0, ens.sigma, size=(len(idx), 3)) if ens.sigma > 0 else np.zeros((len(idx), 3))
+            batches.append(u)
+    if coherent:
+        per_sample, finish = (lambda s: s), (lambda m: abs(m) ** 2)
+    else:
+        per_sample, finish = (lambda s: np.abs(s) ** 2), (lambda m: m)
+    total, n_total, batch_vals = 0.0, 0, []
+    for u in batches:
+        v = per_sample(np.exp(1j * (u @ geom.k_vectors.T)).sum(axis=1))
+        batch_vals.append(finish(v.mean()))
+        total += v.sum()
+        n_total += len(v)
+    stderr = float(np.std(batch_vals, ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else None
+    return float(finish(total / n_total)), stderr
+
+
+_C = lamb._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("model, sigma", [
+    ("longitudinal-gaussian", 5.0e-12), ("isotropic-gaussian", 2.0e-11), ("isotropic-gaussian", 0.0),
+])
+@pytest.mark.parametrize("n_samples", [1, 31, 33, 32 * _C, 32 * _C + 1, 32 * (2 * _C + 5) + 7],
+                         ids=["1", "31", "33", "one-chunk", "one-chunk+1", "short-last-chunk"])
+def test_chunked_mc_matches_whole_batches_bit_for_bit(bragg_geom, model, sigma, n_samples):
+    # chunked draws and phases give the same numbers as whole-batch arrays:
+    # one draw in consecutive chunks equals one draw, and the batch sums
+    # still run over whole batch vectors
+    ens = DisplacementEnsemble(model=model, sigma=sigma, n_samples=n_samples, seed=17)
+    for est, coherent in ((flm_coherent_mc, True), (flm_incoherent_mc, False)):
+        out = est(bragg_geom, ens)
+        assert (out.value, out.stderr) == _whole_batch_mc(bragg_geom, ens, coherent)
+
+
+@pytest.mark.parametrize("n", [1, 33, 32 * _C + 45])
+def test_chunked_mc_matches_whole_batches_on_explicit_samples(bragg_geom, n):
+    samples = np.random.default_rng(n).normal(scale=3.0e-12, size=(n, 3))
+    ens = DisplacementEnsemble(model="explicit-samples", samples=samples)
+    for est, coherent in ((flm_coherent_mc, True), (flm_incoherent_mc, False)):
+        out = est(bragg_geom, ens)
+        assert (out.value, out.stderr) == _whole_batch_mc(bragg_geom, ens, coherent)
+
+
+def test_explicit_samples_are_copied_once():
+    # float32 rows are converted straight into the ensemble's own array
+    samples = np.zeros((100_000, 3), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        ens = DisplacementEnsemble(model="explicit-samples", samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * ens.samples.nbytes
