@@ -24,7 +24,9 @@ continues the compensated suffix sums of the bins' plateaus from the carry
 that the block after it left.  A call therefore holds its output plus one
 block (with the pieces up to one t_pump ahead that the block's bins
 reach) at any bin count, and its counts are bit for bit those of one
-block over the whole binning.
+block over the whole binning.  Between calls ``bin_expected_counts`` keeps
+the unit-n0 counts of its last call and their edges, so a truth evaluated
+again on the same binning is copied, not integrated.
 
 ``bessel_j0`` is a self-contained rational/asymptotic evaluation of the
 zeroth Bessel function (classic Cephes coefficient tables), used by the
@@ -693,6 +695,16 @@ def _checked_edges(edges) -> np.ndarray:
     return edges
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_counts(edges: bytes, tau0: float, tau_d: float, phi0: float, t_pump: float, kernel: str) -> np.ndarray:
+    """The read-only unit-n0 counts of ``bin_expected_counts`` on the
+    float64 ``edges``; the process keeps the last ones asked for."""
+    p = BeatParams(tau0=tau0, tau_d=tau_d, phi0=phi0, t_pump=t_pump)
+    counts = _BinModel(np.frombuffer(edges), tau0, t_pump).unit_counts(p, kernel)
+    counts.setflags(write=False)
+    return counts
+
+
 def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarray:
     """Expected counts in contiguous bins given by ``edges`` (len N+1).
 
@@ -709,12 +721,17 @@ def bin_expected_counts(p: BeatParams, edges, kernel: str = "cos2") -> np.ndarra
 
     The bins are evaluated in blocks of _BLOCK_BINS (see ``_BinModel``),
     so at any bin count a call holds at most its output, one more array of
-    that size and one block: 2.4 MB at 1.2-s bins and t_pump 3600 s.
+    that size and one block: 2.4 MB at 1.2-s bins and t_pump 3600 s.  The
+    process keeps the unit-n0 counts of the last call and its edges
+    (``_unit_counts``), 0.96 MB at 60 000 bins, so a call with the same
+    edges, tau0, tau_d, phi0, t_pump and kernel, whatever its n0 and
+    background, copies them instead of integrating again.
     """
     edges = _checked_edges(edges)
     if not p.t_pump > 0.0:
         raise DomainError("t_pump must be positive")
-    counts = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)
+    counts = _unit_counts(edges.tobytes(), float(p.tau0), float(p.tau_d), float(p.phi0), float(p.t_pump),
+                          kernel).copy()
     counts *= p.n0
     counts += p.background * p.t_pump * np.diff(edges)
     return counts

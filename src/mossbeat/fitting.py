@@ -62,6 +62,7 @@ fitted n0 is measured in units of the fluorescence scale).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -122,9 +123,16 @@ class FitConfig:
                 raise DomainError(f"cannot free {name!r}; choose from {_FREE_CHOICES}")
         merged = dict(_DEFAULT_BOUNDS)
         merged.update(self.bounds)
-        for name, (lo, hi) in merged.items():
+        for name, bound in merged.items():
             if name not in _FREE_CHOICES:
                 raise DomainError(f"bounds given for unknown parameter {name!r}")
+            try:
+                lo, hi = bound
+            except (TypeError, ValueError):
+                raise DomainError(f"bounds for {name} must be a pair (lo, hi), got {bound!r}") from None
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
+                raise DomainError(f"bounds for {name} must be real numbers, got {bound!r}")
+            merged[name] = lo, hi
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise DomainError(f"bounds for {name} must be finite with lo < hi, got ({lo!r}, {hi!r})")
             if name == "tau_d" and not lo > 0.0:

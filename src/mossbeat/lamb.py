@@ -18,6 +18,7 @@ same bit for bit as from whole-batch arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,9 @@ class DisplacementEnsemble:
         else:
             if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
                 raise DomainError(f"sigma must be nonnegative, got {self.sigma!r}")
-            if self.n_samples < 1:
-                raise DomainError(f"n_samples must be >= 1, got {self.n_samples!r}")
+            n = self.n_samples
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise DomainError(f"n_samples must be an integer >= 1, got {n!r}")
 
 
 def _batches(ens: DisplacementEnsemble):

@@ -188,10 +188,10 @@ def simulate_counts(
     one channel's counts do not depend on the other channel's model.
     """
     _check_seed(seed)
-    if not width > 0.0:
-        raise DomainError(f"width must be positive, got {width!r}")
-    if not horizon >= width:
-        raise DomainError("horizon must cover at least one bin")
+    if not (np.isfinite(width) and width > 0.0):
+        raise DomainError(f"width must be positive and finite, got {width!r}")
+    if not (np.isfinite(horizon) and horizon >= width):
+        raise DomainError(f"horizon must be finite and cover at least one bin, got {horizon!r}")
     n_bins = int(np.floor(horizon / width + 1e-12))
     if abs(n_bins * width - horizon) > 1e-9 * width:
         warnings.warn("horizon is not a multiple of width; dropping the partial bin", stacklevel=2)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mossbeat import (
     tau_d,
     write_ratio_series,
 )
-from mossbeat import csvio
+from mossbeat import beat, csvio
 from mossbeat.beat import (
     _MIN_ORDER,
     _ORDER_LIMITS,
@@ -540,25 +541,25 @@ def test_bin_model_does_not_depend_on_block_size(monkeypatch):
     # each plateau and falling edge reaches across many blocks, and the
     # derivative pass runs on the blocks the model keeps from its second
     # pass on
-    from mossbeat import beat
-
     edges, p, td = _BLOCK_CASES["several-panels"]
     assert max(_panel_counts(block.gaps, block.caps, td).max()
                for block in _BinModel(edges, p.tau0, p.t_pump)._setups()) > 1
     default = {name: _block_outputs(*case) for name, case in _BLOCK_CASES.items()}
     sims = _simulated_counts()
     monkeypatch.setattr(beat, "_BLOCK_BINS", 7)
+    beat._unit_counts.cache_clear()  # no two calls below share a key, so none is served from it
     for name, case in _BLOCK_CASES.items():
         assert all(np.array_equal(a, b) for a, b in zip(_block_outputs(*case), default[name])), name
     assert all(np.array_equal(a, b) for a, b in zip(_simulated_counts(), sims))
 
 
 def test_bin_model_memory_is_bounded():
-    # a call holds its output, one more array of that size and one block:
-    # a traced peak of 2.9 MB for 60 000 bins of 1.2 s, where a model over
-    # the whole binning at once peaked at 12.7 MB
+    # a cold call holds its output, one more array of that size, one block
+    # and the kept edges and counts: a traced peak of 3.4 MB for 60 000 bins
+    # of 1.2 s, where a model over the whole binning at once peaked at 12.7 MB
     edges = np.arange(60001) * 1.2
     bin_expected_counts(BeatParams(), edges[:100])  # the lazily built rules and tables
+    beat._unit_counts.cache_clear()
     tracemalloc.start()
     try:
         bin_expected_counts(BeatParams(), edges)
@@ -566,6 +567,109 @@ def test_bin_model_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+# ------------------------------------------------- kept unit counts
+
+
+_KEPT_EDGES = np.linspace(0.0, 14400.0, 601)
+_KEPT_TRUTH = BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0, background=0.02)
+
+
+@pytest.fixture
+def model_passes(monkeypatch):
+    """Counts the binned model's passes; starts with nothing kept."""
+    passes = []
+    original = _BinModel._sums
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.n_bins)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_BinModel, "_sums", counted)
+    beat._unit_counts.cache_clear()
+    yield passes
+    beat._unit_counts.cache_clear()
+
+
+def _fresh_counts(p, edges, kernel):
+    """``bin_expected_counts`` as it was before it kept anything: a new model, then n0 and background."""
+    edges = np.asarray(edges, dtype=float)
+    counts = _BinModel(edges, p.tau0, p.t_pump).unit_counts(p, kernel)
+    counts *= p.n0
+    counts += p.background * p.t_pump * np.diff(edges)
+    return counts
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["cos2", "j0sq"])
+def test_kept_counts_match_a_fresh_model_bit_for_bit(model_passes, kernel):
+    fresh = _fresh_counts(_KEPT_TRUTH, _KEPT_EDGES, kernel)
+    cold = bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES, kernel)
+    warm = bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES, kernel)
+    assert _same_bits(cold, fresh) and _same_bits(warm, fresh)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edges", np.linspace(0.0, 14400.0, 601) * (1.0 + 1e-15)),
+    ("tau0", 4857.000000000001),
+    ("tau_d", 485.70000000000005),
+    ("phi0", 0.30000000000000004),
+    ("t_pump", 3600.0000000000005),
+    ("kernel", "j0sq"),
+])
+def test_kept_counts_recompute_on_any_key_field(model_passes, field, value):
+    bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
+    p, edges, kernel = _KEPT_TRUTH, _KEPT_EDGES, "cos2"
+    if field == "edges":
+        edges = value
+        assert not np.array_equal(edges, _KEPT_EDGES)
+    elif field == "kernel":
+        kernel = value
+    else:
+        p = replace(p, **{field: value})
+        assert getattr(p, field) != getattr(_KEPT_TRUTH, field)
+    got = bin_expected_counts(p, edges, kernel)
+    assert model_passes == [600, 600]
+    assert _same_bits(got, _fresh_counts(p, edges, kernel))
+
+
+def test_kept_counts_serve_any_n0_and_background(model_passes):
+    bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
+    # n0 = -0.0 equals n0 = 0.0, but each gives the bits of a fresh model
+    params = [replace(_KEPT_TRUTH, n0=n0, background=background)
+              for n0, background in [(1.0, 0.0), (250.0, 0.02), (0.0, 0.5), (-0.0, 0.0), (-0.0, 0.5)]]
+    got = [bin_expected_counts(p, _KEPT_EDGES) for p in params]
+    assert model_passes == [600]
+    assert all(_same_bits(g, _fresh_counts(p, _KEPT_EDGES, "cos2")) for g, p in zip(got, params))
+
+
+def test_kept_counts_are_copied_for_each_call(model_passes):
+    first = bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
+    expected = first.copy()
+    first[:] = -1.0
+    second = bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
+    assert second.flags.writeable and second.flags.owndata
+    assert _same_bits(second, expected)
+    second *= 2.0
+    assert _same_bits(bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES), expected)
+    assert model_passes == [600]
+
+
+def test_repeated_call_makes_no_panel_pass(model_passes, monkeypatch):
+    bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
+    bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES.tolist())  # the same float64 edges as a list
+    simulate_counts(_KEPT_TRUTH, 1.0, 24.0, 14400.0, seed=3)  # the same truth and binning
+    assert model_passes == [600]
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a panel pass ran")
+
+    monkeypatch.setattr(beat._PanelLayout, "integrate", no_pass)
+    bin_expected_counts(_KEPT_TRUTH, _KEPT_EDGES)
 
 
 def test_flm_mc_memory_is_bounded(bragg_geom):

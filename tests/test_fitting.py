@@ -207,6 +207,17 @@ def test_fit_config_validation():
         FitConfig(tolerance=0.0)
 
 
+@pytest.mark.parametrize("bound, what", [
+    ((1.0,), "a pair"), (5, "a pair"), ((1.0, 2.0, 3.0), "a pair"), (None, "a pair"),
+    (("1", "9"), "real numbers"), ((False, True), "real numbers"), ((1.0, 2j), "real numbers"),
+])
+def test_fit_config_rejects_a_bound_that_is_not_a_real_pair(bound, what):
+    # (1.0,) and 5 used to raise ValueError and TypeError while unpacking
+    with pytest.raises(DomainError, match=f"^bounds for n0 must be {what}"):
+        FitConfig(bounds={"n0": bound})
+    assert FitConfig(bounds={"n0": [np.int64(1), np.float64(9.0)]}).bounds["n0"] == (1, 9.0)
+
+
 @pytest.mark.parametrize("name, lo, free, domain", [
     ("n0", -5.0, ("n0", "tau_d", "phi0", "background"), "nonnegative"),
     ("background", -0.1, ("n0", "tau_d", "phi0", "background"), "nonnegative"),

@@ -127,6 +127,14 @@ def test_ensemble_validation():
         DisplacementEnsemble(model="explicit-samples", samples=None)
 
 
+@pytest.mark.parametrize("n_samples", [1.5, 2.0, np.float64(64.0), True, "64"])
+def test_ensemble_rejects_non_integral_n_samples(n_samples):
+    # 1.5 and 2.0 used to be accepted, and the Monte Carlo then failed in its batching
+    with pytest.raises(DomainError, match="n_samples must be an integer >= 1"):
+        DisplacementEnsemble(model="isotropic-gaussian", sigma=1e-11, n_samples=n_samples)
+    assert DisplacementEnsemble(sigma=1e-11, n_samples=np.int64(64)).n_samples == 64
+
+
 def test_mc_deterministic_per_seed(bragg_geom):
     ens_a = DisplacementEnsemble(model="isotropic-gaussian", sigma=1e-11, n_samples=50000, seed=42)
     ens_b = DisplacementEnsemble(model="isotropic-gaussian", sigma=1e-11, n_samples=50000, seed=42)

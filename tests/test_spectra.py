@@ -257,6 +257,15 @@ def test_simulate_counts_large_series_statistics():
     assert abs(np.corrcoef(*pulls)[0, 1]) < 6.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("width, horizon", [
+    (1.0, float("inf")), (float("inf"), float("inf")), (float("inf"), 1.0), (float("nan"), 100.0), (1.0, float("nan")),
+])
+def test_simulate_counts_rejects_non_finite_width_or_horizon(width, horizon):
+    # an infinite horizon used to raise OverflowError while counting the bins
+    with pytest.raises(DomainError, match="must be (positive and )?finite"):
+        simulate_counts(BeatParams(), 1.0, width, horizon)
+
+
 def test_simulate_counts_partial_bin_warns():
     p = BeatParams(n0=5.0)
     with pytest.warns(UserWarning):
