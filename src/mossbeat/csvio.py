@@ -8,6 +8,11 @@ offending line by number.
 
 The writers format ``_BLOCK_BINS`` rows at a time, each column of a block
 in one ``repr`` of its list, so the text of a whole file is never held.
+The process keeps the text of the last ``t_start`` column it wrote
+(``_time_text``): the three files of one product share their time axis,
+so it is formatted once for all of them.  At 60 000 rows of 1.2 s that
+is 1.17 MB: the column's 0.48 MB of bytes as the key and 0.69 MB of text,
+one string per block.
 
 Each reader first tries one numpy pass.  It reads the file in binary,
 checks the exact header and then scans the rest in chunks of
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
+import functools
 import math
 import warnings
 
@@ -53,7 +59,8 @@ _SCAN_BYTES = 1 << 18
 
 
 def write_count_series(series: CountSeries, path) -> None:
-    """Write a count series; one row per bin, fixed header."""
+    """Write a count series; one row per bin, fixed header.  The text of
+    its time column is kept for the next file on the same bins."""
     columns = (series.t_start, _width_column(series.width), series.counts)
     with open(path, "w", newline="") as fh:
         _write_rows(fh, COUNT_HEADER, columns, f",{series.channel}\n")
@@ -70,7 +77,8 @@ def read_count_series(path) -> CountSeries:
 
 def write_ratio_series(series: RatioSeries, path) -> None:
     """Write a ratio series to a file path or an open text stream (such as
-    ``sys.stdout``); invalid bins become NaN ratio and sigma."""
+    ``sys.stdout``); invalid bins become NaN ratio and sigma.  The text of
+    its time column is kept for the next file on the same bins."""
     columns = (series.t_start, _width_column(series.width), series.ratio, series.sigma)
     with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
         _write_rows(fh, RATIO_HEADER, columns, "\n")
@@ -85,22 +93,36 @@ def _width_column(width: np.ndarray):
     return width
 
 
+@functools.lru_cache(maxsize=1)
+def _time_text(t_start: bytes, block: int) -> tuple[str, ...]:
+    """The text of the float64 ``t_start`` column, one str per ``block``
+    rows: the ``repr`` of the block's list without its brackets.  The
+    process keeps the last column asked for.  The key is the column's
+    bytes, so -0.0 and 0.0, whose ``repr`` differ, never share text."""
+    t = np.frombuffer(t_start)
+    return tuple(repr(t[i:i + block].tolist())[1:-1] for i in range(0, len(t), block))
+
+
 def _write_rows(fh, header, columns, end):
     """Write ``header``, then row k of ``columns`` joined by commas and
     closed by ``end``, ``_BLOCK_BINS`` rows at a time.
 
-    A column is an array, each value written as its ``repr``, or a str
-    that every row shares.  Each array slice is formatted in one call, as
-    ``repr`` of its list, which writes each value as its own ``repr``.
+    The first column is the float64 ``t_start``, its text taken from
+    ``_time_text``.  Every other column is an array, each value written as
+    its ``repr``, or a str that every row shares.  Each array slice is
+    formatted in one call, as ``repr`` of its list, which writes each value
+    as its own ``repr``.
     """
     fh.write(",".join(header) + "\n")
+    times = _time_text(columns[0].tobytes(), _BLOCK_BINS)
     n = len(columns[0])
     step = 2 * len(columns)
-    for i in range(0, n, _BLOCK_BINS):
+    for i, time_text in zip(range(0, n, _BLOCK_BINS), times):
         rows = min(n - i, _BLOCK_BINS)
         parts = [","] * (step * rows)
         parts[step - 1::step] = [end] * rows
-        for k, column in enumerate(columns):
+        parts[0::step] = time_text.split(", ")
+        for k, column in enumerate(columns[1:], 1):
             if isinstance(column, str):
                 parts[2 * k::step] = [column] * rows
             else:

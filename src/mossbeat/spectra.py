@@ -224,9 +224,17 @@ def normalize(gamma: CountSeries, kalpha: CountSeries) -> RatioSeries:
     flagged invalid (NaN ratio and sigma); bins with g = 0 get ratio 0,
     sigma = 1/k from a one-count floor on the numerator, and the
     ``low_count`` flag.
+
+    ``gamma`` must be a gamma-channel series and ``kalpha`` a kalpha-channel
+    one, or ``DomainError`` is raised.  Two empty series are let through
+    whatever their channels, since a file without data rows reads back as
+    an empty gamma series.
     """
     if not _same_binning(gamma, kalpha):
         raise StructuralError("gamma and kalpha series must share the same binning")
+    if len(gamma) and (gamma.channel, kalpha.channel) != _CHANNELS:
+        raise DomainError(
+            f"normalize takes a gamma and a kalpha series, got {gamma.channel!r} and {kalpha.channel!r}")
     g = gamma.counts.astype(float)
     k = kalpha.counts.astype(float)
     valid = k > 0

@@ -233,6 +233,19 @@ def test_normalize_stdout_matches_ratio_file(tmp_path, capsys):
     assert "nan,nan" in printed  # empty kalpha bins go through the same writer
 
 
+@pytest.mark.parametrize("files", [("kalpha", "gamma"), ("gamma", "gamma")], ids=["swapped", "same_file"])
+def test_normalize_rejects_wrong_channels(tmp_path, capsys, files):
+    prefix = str(tmp_path / "run")
+    assert run_cli(["simulate", "--out", prefix]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ratio.csv"
+    args = ["normalize", "--gamma", f"{prefix}_{files[0]}.csv", "--kalpha", f"{prefix}_{files[1]}.csv"]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: normalize takes a gamma and a kalpha series, got {files[0]!r} and {files[1]!r}\n"
+    assert not out.exists()
+
+
 def test_config_file_flag(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"beat": {"tau_d": 1234.5}}))

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import tracemalloc
 import warnings
 
 from hypothesis import given, settings
@@ -275,6 +277,142 @@ def test_block_boundary_series_has_its_traps():
         for side in (before, after):
             assert (counts.counts[side] == 2**63 - 1).all() and (counts.width[side] == 0.7).all()
             assert (~ratio.valid[side]).any() and ratio.low_count[side].any()
+
+
+# ------------------------------------------------------- kept time text
+
+
+@pytest.fixture
+def time_text():
+    """The writers' kept time text, empty before and after the test."""
+    csvio._time_text.cache_clear()
+    yield csvio._time_text
+    csvio._time_text.cache_clear()
+
+
+def _writer(series):
+    return write_count_series if isinstance(series, CountSeries) else write_ratio_series
+
+
+def _per_row_text(series):
+    return (_per_row_count_text if isinstance(series, CountSeries) else _per_row_ratio_text)(series)
+
+
+def _text(series, path=None):
+    """The text ``series`` is written as: to ``path``, or to a stream where
+    ``path`` is None."""
+    if path is None:
+        stream = io.StringIO()
+        _writer(series)(series, stream)
+        return stream.getvalue()
+    _writer(series)(series, path)
+    return path.read_text()
+
+
+def _written(tmp_path, series):
+    """``series`` written to a file; a ratio series also to a stream, which
+    must give the same text."""
+    text = _text(series, tmp_path / "series.csv")
+    if isinstance(series, RatioSeries):
+        assert _text(series) == text
+    return text
+
+
+@pytest.mark.parametrize("first", ["count_file", "ratio_file", "ratio_stream"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non_uniform"])
+def test_kept_time_text_writes_the_per_row_format(tmp_path, time_text, uniform, first):
+    # each route first cold, then warm from the text another route kept
+    counts, ratio = _block_boundary_series(2 * csvio._BLOCK_BINS + 1, uniform)
+    path = tmp_path / "series.csv"
+    routes = {"count_file": (counts, path), "ratio_file": (ratio, path), "ratio_stream": (ratio, None)}
+    for route in [first, *(r for r in routes if r != first), first]:
+        series, target = routes[route]
+        assert _text(series, target) == _per_row_text(series), route
+    assert (time_text.cache_info().misses, time_text.cache_info().hits) == (1, 3)
+
+
+def _shifted(series, t_start):
+    return CountSeries(series.channel, t_start, series.width, series.counts)
+
+
+def test_kept_time_text_is_formatted_again_for_a_new_column(tmp_path, time_text, monkeypatch):
+    counts, _ = _block_boundary_series(csvio._BLOCK_BINS + 3, uniform=True)
+    assert _written(tmp_path, counts) == _per_row_text(counts)
+    # one start one ulp up, in the second block
+    t_start = counts.t_start.copy()
+    t_start[-2] = np.nextafter(t_start[-2], np.inf)
+    ulp = _shifted(counts, t_start)
+    # -0.0 equals 0.0 but is written as "-0.0"
+    t_start = counts.t_start.copy()
+    t_start[0] = -0.0
+    signed = _shifted(counts, t_start)
+    for series in (ulp, counts, signed):
+        assert _written(tmp_path, series) == _per_row_text(series)
+    assert _written(tmp_path, signed).splitlines()[1].startswith("-0.0,")
+    assert (time_text.cache_info().misses, time_text.cache_info().hits) == (4, 1)
+    # the same column in blocks of another size
+    monkeypatch.setattr(csvio, "_BLOCK_BINS", 7)
+    assert _written(tmp_path, signed) == _per_row_text(signed)
+    assert time_text.cache_info().misses == 5
+
+
+def test_one_product_formats_its_time_column_once(tmp_path, time_text):
+    gamma, kalpha = simulate_counts(BeatParams(n0=0.003, tau_d=485.7, phi0=0.3), 3e-4, 24.0, 14400.0, seed=13)
+    ratio = normalize(gamma, kalpha)
+    for series in (gamma, kalpha, ratio):
+        assert _written(tmp_path, series) == _per_row_text(series)
+    assert time_text.cache_info().misses == 1
+
+
+def test_kept_time_text_memory_is_bounded(tmp_path, time_text):
+    # at 60 000 rows of 1.2 s the process keeps the column's 0.48 MB of
+    # bytes and 0.69 MB of text (1.17 MB in all, numpy 2.4), one str per block
+    ratio = normalize(*simulate_counts(BeatParams(), 10.0, 1.2, 72000.0, seed=3))
+    path = tmp_path / "ratio.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_ratio_series(ratio, path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert time_text.cache_info().currsize == 1
+    assert kept <= 2e6
+
+
+def _pinned_product():
+    """Gamma, kalpha and ratio series of 60 000 rows of 1.2 s, built without
+    random draws: starts 1.2 k, counts k % 97 and k % 89, ratio and sigma
+    evenly spaced, with NaN rows."""
+    n = 60000
+    k = np.arange(n)
+    t_start, width = 1.2 * k, np.full(n, 1.2)
+    ratio, sigma = np.linspace(0.0, 3.0, n), np.linspace(0.01, 0.5, n)
+    nan = k % 1009 == 3
+    ratio[nan] = sigma[nan] = np.nan
+    return (CountSeries("gamma", t_start, width, k % 97), CountSeries("kalpha", t_start, width, k % 89),
+            _ratio_of(t_start, width, ratio, sigma))
+
+
+# sha256 of the gamma, kalpha and ratio files of _pinned_product, as the
+# writers gave them before they kept any text
+_PINNED_SHA256 = (
+    "e0116b032dac50c5de2d1fce4c4fbd8223cec9ab6620f64d8f6edc09ccdb6eeb",
+    "91ea69c56ebc69b66264d4ddb57813ace89c454fa2fdb690fd2272c57013c907",
+    "cee49fc2d1fed44131a40e7c90404dd4199913650caaf44bc7deb4c567667136",
+)
+
+
+def test_writers_keep_the_pinned_bytes(tmp_path, time_text):
+    product = _pinned_product()
+    for _ in ("cold", "warm"):
+        digests = []
+        for series in product:
+            path = tmp_path / "series.csv"
+            _writer(series)(series, path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert tuple(digests) == _PINNED_SHA256
+    assert time_text.cache_info().misses == 1
 
 
 # ----------------------------------------- non-finite times, int64, bad bytes

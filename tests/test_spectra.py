@@ -328,6 +328,22 @@ def test_normalize_rejects_mismatched_binning():
         normalize(gamma, shifted)
 
 
+@pytest.mark.parametrize("channels", [("kalpha", "gamma"), ("gamma", "gamma"), ("kalpha", "kalpha")],
+                         ids=["swapped", "gamma_twice", "kalpha_twice"])
+def test_normalize_rejects_wrong_channels(channels):
+    gamma = _series([4, 5, 6], channel=channels[0])
+    kalpha = _series([7, 8, 9], channel=channels[1])
+    with pytest.raises(DomainError, match=f"got {channels[0]!r} and {channels[1]!r}"):
+        normalize(gamma, kalpha)
+
+
+@pytest.mark.parametrize("channels", [("gamma", "gamma"), ("kalpha", "gamma")])
+def test_normalize_passes_empty_series_of_any_channels(channels):
+    # a count file without data rows reads back as an empty gamma series
+    r = normalize(_series([], channel=channels[0]), _series([], channel=channels[1]))
+    assert len(r) == 0
+
+
 # ------------------------------------------------------------------- rebin
 
 
