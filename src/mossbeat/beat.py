@@ -460,11 +460,18 @@ def _suffix_sums(m: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     lo[:] = np.cumsum(err)[::-1]
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x in increasing order, as ``np.unique`` gives
+    them for finite values; ``np.unique`` imports numpy.ma on first use."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def _blocks(counts: np.ndarray, orders: np.ndarray):
     """(intervals, order) blocks: intervals with panels of one order, about
     _BLOCK_NODES nodes each, cut only between intervals."""
     out = []
-    for order in np.unique(orders[counts > 0]):
+    for order in _distinct(orders[counts > 0]):
         idx = np.flatnonzero((orders == order) & (counts > 0))
         block = (np.cumsum(counts[idx]) * order - 1) // _BLOCK_NODES
         cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(idx)]])
@@ -614,7 +621,7 @@ class _BinModel:
             (j0, j1), i0 = self._bounds[q:q + 2], self._shifted[q]
             # the window: every edge and edge + t_pump in [edges[j0], edges[j1] + t_pump]
             reach = np.searchsorted(edges, edges[j1] + t_pump, "right")
-            x = np.unique(np.concatenate([edges[j0:reach], edges[i0:j1 + 1] + t_pump]))
+            x = _distinct(np.concatenate([edges[j0:reach], edges[i0:j1 + 1] + t_pump]))
             # the block owns those below the next block's first edge, the last block all
             slots = len(x) if j1 == n else int(np.searchsorted(x, edges[j1]))
             yield _Block(edges, j0, j1, t_pump, self.tau0, x, slots)

@@ -9,22 +9,25 @@ pass gives the columns.  Everything but tau_d is solved at each tau_d
 by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 1973): from the QR factor of the columns, the best n0 and background
 (bounded weighted least squares) cost O(1) per trial phase, and phi0
-is zoomed in on by comparing trial phases (``_zoom_min``, to about
-1.5e-9 rad).  The fit screens this exact-phase profile chi2(tau_d) on a
-log-spaced tau_d grid, which finds the one deep basin of the beat
-landscape without a multistart.  A grid point's profile chi2 is rest +
-ss, with rest the squared residual outside the span of its four columns
-and ss >= 0, so it is never below rest, in floating point too.  The
-phase is therefore searched first at the point of least rest, and then
-only at points whose rest is not above that chi2 by more than the tie
-margin; the others can neither win nor tie.  With a measured beat only
-that first point is searched; where the data carry no beat (n0 = 0)
-nothing is skipped, nor is anything where a rest is NaN.  The screen
-weights and factors its points in stacks of about 4096 rows (6 points
-at 600 bins).  LAPACK factors each point on its own and every later step
-is per point, so a point's numbers do not depend on the points stacked
-or searched with it, and the result is bit for bit that of a search at
-every point, one at a time.
+is solved in closed form (``_best_phase``): the stationary points of
+the profile in phi0, the real roots of one quartic per active set of
+those bounds (``_phase_roots``), are snapped to a lattice of spacing
+pi / 2^31 (about 1.5e-9 rad) and compared, with their lattice
+neighbours, by their chi2.  The fit screens this exact-phase profile
+chi2(tau_d) on a log-spaced tau_d grid, which finds the one deep basin
+of the beat landscape without a multistart.  A grid point's profile
+chi2 is rest + ss, with rest the squared residual outside the span of
+its four columns and ss >= 0, so it is never below rest, in floating
+point too.  The phase is therefore searched first at the point of least
+rest, and then only at points whose rest is not above that chi2 by more
+than the tie margin; the others can neither win nor tie.  With a
+measured beat only that first point is searched; where the data carry
+no beat (n0 = 0) nothing is skipped, nor is anything where a rest is
+NaN.  The screen weights and factors its points in stacks of about 4096
+rows (6 points at 600 bins).  LAPACK factors each point on its own and
+every later step is per point, so a point's numbers do not depend on the
+points stacked or searched with it, and the result is bit for bit that
+of a search at every point, one at a time.
 
 The fit then polishes the best grid point by at most 8 safeguarded
 Gauss-Newton steps in z = log10 tau_d (Kaufman, BIT 15, 1975), inside
@@ -82,19 +85,19 @@ _DEFAULT_BOUNDS = {
 }
 # screen: tau_d grid points per decade.  Polish: the lattice spacing in
 # log10 tau_d, the most Newton steps and the half-width, in lattice steps,
-# of the final comparison.  Phase: trial phases per level and zoom levels,
-# which end at a step of about 1.5e-9 rad (see _zoom_min).  The chi2
-# comparisons that pick tau_d and phi0 are decided by more than rounding on
-# noiseless data, so that data rescaled by a constant give the same tau_d
-# and phi0 bit for bit.  Stacks: the rows (points x kept bins) the screen
+# of the final comparison.  Phase: the lattice spacing in phi0, about
+# 1.5e-9 rad, and the lattice neighbours compared around each candidate,
+# in the order that breaks ties.  The chi2 comparisons that pick tau_d and
+# phi0 are decided by more than rounding on noiseless data, so that data
+# rescaled by a constant give the same tau_d and phi0 bit for bit.  Stacks: the rows (points x kept bins) the screen
 # weights and factors at once; a stack's columns then take about 100 KB,
 # which stays in cache (all 61 points at once, 1.2 MB at 600 bins, ran slower).
 _GRID_PER_DECADE = 4
 _Z_STEP = 2.0**-28
 _NEWTON_STEPS = 8
 _WINDOW = 2
-_PHASE_TRIALS = 64
-_PHASE_LEVELS = 6
+_PHASE_STEP = np.pi / 2.0**31
+_PHASE_OFFSETS = (0.0, -1.0, 1.0, -2.0, 2.0)
 _STACK_ROWS = 4096
 
 
@@ -408,34 +411,110 @@ def _phase_profile(pieces, lin, coef, lo, hi):
     return profile
 
 
-def _zoom_min(f, rows, lo, hi, periodic):
-    """Phase minimising f(phases) in each of ``rows`` rows, by comparison only.
+@lru_cache(maxsize=1)
+def _quartic_maps():
+    """(e_0, e_1, e_2) = A to_e, and the t^0..t^4 coefficients of the
+    quartics of ``_phase_roots`` as linear maps of the terms nu_i gram_lm
+    (n0 free; the quintic terms cancel) and of gram_lm and nu_i (n0 held:
+    n0 times the first map plus the second); made on first use, so that
+    importing the module builds no arrays."""
+    to_e = np.array([[1, 0, 1], [1, 0, -1], [0, -2, 0]], dtype=float)
+    free = np.array([[(2 * i - l - m) * (i + l + m - 1 == k) for k in range(5)]
+                     for i in range(3) for l in range(3) for m in range(3)], dtype=float)
+    held_gram = np.array([[(l + m) * (l + m - 1 == k) + (l + m - 4) * (l + m + 1 == k) for k in range(5)]
+                          for l in range(3) for m in range(3)], dtype=float)
+    held_nu = np.array([[-2 * (i * (i - 1 == k) + (2 * i - 2) * (i + 1 == k) + (i - 2) * (i + 3 == k))
+                         for k in range(5)] for i in range(3)], dtype=float)
+    return to_e, free, held_gram, held_nu
 
-    The first level tries 64 phases over the range: one period pi from
-    ``lo`` when ``periodic`` (the phase is then unbounded), else [lo, hi]
-    with both ends.  Each further level tries 64 phases from the best one
-    minus the last step, 1/32 of that step apart, clipped to [lo, hi]
-    unless periodic; 6 levels end at a step of pi / 64 / 32**5, about
-    1.5e-9 rad.  Returns the phases and their values.
+
+def _phase_roots(pieces, lin, coef, lo, hi):
+    """Candidate phases, shape (rows, 4 x pieces): the stationary points of
+    every piece of the profile at each row of the stacked QR ``pieces``.
+
+    With theta = 2 phi0, the unit-n0 model is a = A (1, cos theta, -sin
+    theta) in the QR basis, A the first three columns of R, and the
+    background column is c.  Each active set of the bounded least squares
+    is one piece: the background at a bound (u = Q^T y - bg c) or free (u
+    and A with c projected out), and n0 held (chi2 = |u|^2 - 2 n0 u.a +
+    n0^2 |a|^2) or free (chi2 = |u|^2 - (u.a)^2 / |a|^2).  The profile's
+    minimum is a stationary point of the piece whose active set holds there
+    (Danskin).  With t = tan(phi0), (1 + t^2) a = e(t) = e_0 + e_1 t +
+    e_2 t^2 for e_0 = A_0 + A_1, e_1 = -2 A_2 and e_2 = A_0 - A_1, so each
+    piece is stationary at the real roots of a quartic in t (the quintic
+    terms cancel), the eigenvalues of its companion matrix (Boyd, J. Eng.
+    Math. 56 (2006) 203), whose coefficients are linear in the terms of
+    u.e(t) = sum nu_i t^i and |e(t)|^2 = sum gram_lm t^(l + m).  A slow
+    beat makes a nearly vanish close to theta = pi, in a basin of the
+    profile about 1e-5 rad wide; e_2 = a(pi) keeps that small vector as it
+    is, where the Fourier coefficients of |a|^2 would cancel on it.  A
+    piece with n0 held at 0 is flat and gives none.
     """
+    to_e, free_map, held_gram, held_nu = _quartic_maps()
+    r_cols, t = pieces[0], pieces[1]
+    a, c = r_cols[:, :, :3], r_cols[:, :, 3]
+    held = np.array([v for v in ([lo[0], hi[0]] if 0 in lin else [coef[0]]) if v])
+    if 0 not in lin and not len(held):
+        return np.zeros((len(t), 0))
+    # the background cases on a leading axis: held at each value, then free
+    held_bg = np.array([lo[-1], hi[-1]] if 1 in lin else [coef[1]])
+    pa, u = a[None], t - held_bg[:, None, None] * c
+    if 1 in lin:  # background free: c projected out of A and u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = c / np.sqrt((c * c).sum(axis=1))[:, None]
+        unit[~np.isfinite(unit)] = 0.0
+        pa = np.stack([a, a, a - unit[:, :, None] * (unit[:, :, None] * a).sum(axis=1)[:, None, :]])
+        u = np.concatenate([u, (t - unit * (unit * t).sum(axis=1)[:, None])[None]])
+    e = np.concatenate([pa @ to_e, u[..., None]], axis=-1)
+    gram = np.swapaxes(e, -1, -2) @ e
+    nu, gram = gram[..., 3, :3], gram[..., :3, :3].reshape(u.shape[:2] + (9,))
+    h = (held[:, None, None, None] * (gram[..., None] * held_gram).sum(axis=-2)
+         + (nu[..., None] * held_nu).sum(axis=-2))
+    if 0 in lin:
+        terms = (nu[..., :, None] * gram[..., None, :]).reshape(u.shape[:2] + (27,))
+        h = np.concatenate([(terms[..., None] * free_map).sum(axis=-2)[None], h])
+    # the monic companion's first row; a leading coefficient that is zero
+    # (a root at t = infinity) is made tiny, so the root is large and finite
+    scale = np.abs(h).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = h[..., 3::-1] / -np.where(np.abs(h[..., 4]) > 1e-30 * scale, h[..., 4], 1e-30 * scale)[..., None]
+    top[~np.isfinite(top)] = 0.0
+    companion = np.zeros(top.shape[:-1] + (4, 4))
+    companion[..., 0, :] = top
+    companion[..., 1:, :3] = np.eye(3)
+    return np.arctan(np.linalg.eigvals(companion).real).transpose(2, 0, 1, 3).reshape(len(t), -1)
+
+
+def _best_phase(pieces, lin, coef, lo, hi, phase_lo, phase_hi, periodic):
+    """The best phase and its profile chi2 at each row of the stacked QR
+    ``pieces``, n0 and background solved as in ``_phase_profile``.
+
+    The candidates are the stationary points of ``_phase_roots``, and both
+    ends of the phase window unless ``periodic`` (the phase is then
+    unbounded).  Each is snapped to the lattice phase_lo + k pi / 2^31,
+    wrapped into one period when periodic, else clipped to the window with
+    phase_hi itself in place of the lattice points above it.  The profile
+    is evaluated, in one call, at every snapped candidate and its 2 lattice
+    neighbours on either side, and the least value wins; of equal values,
+    a window end, then a snapped candidate, then the nearest neighbour, so
+    a neighbour replaces a candidate only when lower.  Each row is solved
+    on its own.
+    """
+    rows = len(pieces[2])
+    k = np.round(((np.sort(_phase_roots(pieces, lin, coef, lo, hi), axis=1) - phase_lo) % np.pi) / _PHASE_STEP)
+    if not periodic:  # the ends first: 0 and the first index to reach phase_hi
+        ends = [0.0, np.ceil((phase_hi - phase_lo) / _PHASE_STEP)]
+        k = np.concatenate([np.broadcast_to(ends, (rows, 2)), k], axis=1)
+    elif k.shape[1] == 0:
+        k = np.zeros((rows, 1))
+    k = (k[:, None, :] + np.array(_PHASE_OFFSETS)[:, None]).reshape(rows, -1)
     if periodic:
-        step = np.pi / _PHASE_TRIALS
-        trials = lo + step * np.arange(_PHASE_TRIALS)
+        trials = phase_lo + _PHASE_STEP * (k % 2.0**31)
     else:
-        step = (hi - lo) / (_PHASE_TRIALS - 1)
-        trials = np.linspace(lo, hi, _PHASE_TRIALS)
-    trials = np.broadcast_to(trials, (rows, _PHASE_TRIALS))
-    half = _PHASE_TRIALS // 2
-    for level in range(_PHASE_LEVELS):
-        if level:
-            step = step / half
-            trials = best[:, None] + step * np.arange(-half, half)
-            if not periodic:
-                trials = np.clip(trials, lo, hi)
-        values = f(trials)
-        pick = np.arange(rows), np.argmin(values, axis=1)
-        best, best_value = trials[pick], values[pick]
-    return best, best_value
+        trials = np.minimum(phase_lo + _PHASE_STEP * np.maximum(k, 0.0), phase_hi)
+    values = _phase_profile(pieces, lin, coef, lo, hi)(trials)
+    pick = np.arange(rows), np.argmin(values, axis=1)
+    return trials[pick], values[pick]
 
 
 def _tie_limit(chi: float) -> float:
@@ -464,9 +543,12 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     chi2.  Every parameter stays within its bounds; one that ends on a
     bound returns it exactly and is named in ``message``.  When the phi0
     bounds span at least pi, the period of the model, phi0 is unbounded
-    and reported in [lo, lo + pi); narrower bounds are enforced.  The
-    covariance is Gauss-Newton, with exact Jacobian columns for every free
-    parameter.
+    and reported in [lo, lo + pi); narrower bounds are enforced.  At each
+    tau_d it solves, phi0 is the stationary point of the profile chi2, or
+    end of its bounds, of least chi2, compared on the lattice lo + k pi /
+    2^31 (with hi itself in place of the lattice points above it) within
+    2 lattice steps of each.  The covariance is Gauss-Newton, with exact
+    Jacobian columns for every free parameter.
 
     ``evaluations`` counts model evaluations, one panel pass at one tau_d
     each, kept passes included: 61 for the screen with default bounds and
@@ -498,11 +580,11 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
 
     def solve(pieces):
         """Best phase and its profile chi2 at each tau_d of the stacked QR pieces."""
-        profile = _phase_profile(pieces, lin, coef, lin_lo, lin_hi)
-        rows = len(pieces[2])
         if "phi0" not in free:
+            rows = len(pieces[2])
+            profile = _phase_profile(pieces, lin, coef, lin_lo, lin_hi)
             return np.full(rows, base.phi0), profile(np.full((rows, 1), base.phi0))[:, 0]
-        return _zoom_min(profile, rows, phase_lo, phase_hi, periodic)
+        return _best_phase(pieces, lin, coef, lin_lo, lin_hi, phase_lo, phase_hi, periodic)
 
     def fit_at(tau, derivs=False, unweighted=None, known=None):
         """One panel pass at tau_d and the best phase, n0 and background there.

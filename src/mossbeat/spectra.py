@@ -32,7 +32,13 @@ def _check_contiguous(t, w) -> None:
     > _EDGE_RTOL * max(w_i, w_{i+1})``).  ``t`` and ``w`` must be finite; an
     edge sum that overflows counts as a break, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        broken = np.abs(t[1:] - (t[:-1] + w[:-1])) > _EDGE_RTOL * np.maximum(w[1:], w[:-1])
+        # the gap and the tolerance in place, so two temporaries of the
+        # column's length are made whether or not numpy elides temporaries
+        gap = t[:-1] + w[:-1]
+        np.abs(np.subtract(t[1:], gap, out=gap), out=gap)
+        tol = np.maximum(w[1:], w[:-1])
+        tol *= _EDGE_RTOL
+        broken = gap > tol
     if broken.any():
         bad = int(np.argmax(broken))
         raise StructuralError(f"bins must be contiguous and sorted; break between bins {bad} and {bad + 1}")

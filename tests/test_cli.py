@@ -390,6 +390,33 @@ def test_fit_and_minima_load_no_scipy():
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_model_and_fit_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use (numpy 2), about 10 ms of a
+    # fresh ``beat``, ``simulate`` or ``fit`` process; the model path does
+    # without it.  Where importing numpy loads numpy.ma (numpy 1.24), there
+    # is nothing to save.
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                      check=True).stdout.strip() == "True":
+        pytest.skip("importing numpy loads numpy.ma")
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import numpy as np\n"
+        "import mossbeat as mb\n"
+        "true = mb.BeatParams(n0=4.0, tau0=4857.0, tau_d=485.7, phi0=0.3, t_pump=3600.0)\n"
+        "for kernel in ('cos2', 'j0sq'):\n"
+        "    mb.beat_curve(true, np.linspace(0.0, 14400.0, 50), kernel)\n"
+        "    mb.bin_expected_counts(true, np.linspace(0.0, 14400.0, 601), kernel)\n"
+        "gamma, kalpha = mb.simulate_counts(true, 1.0, 24.0, 14400.0, seed=5)\n"
+        "mb.fit_beat(mb.normalize(gamma, kalpha), mb.FitConfig(\n"
+        "    free_params=('n0', 'tau_d', 'phi0', 'background'), base=replace(true, n0=1.0, tau_d=2000.0)))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_installed():
     exe = shutil.which("mossbeat")
     assert exe, "console script not on PATH"

@@ -757,15 +757,15 @@ def test_screen_skip_matches_per_point_oracle(case):
 
 @pytest.fixture
 def phase_rows(monkeypatch):
-    """Rows (tau_d points) given to each ``_zoom_min`` call, in order."""
+    """Rows (tau_d points) given to each ``_best_phase`` call, in order."""
     rows = []
-    original = fitting._zoom_min
+    original = fitting._best_phase
 
-    def counted(f, n, *args):
-        rows.append(n)
-        return original(f, n, *args)
+    def counted(pieces, *args):
+        rows.append(len(pieces[2]))
+        return original(pieces, *args)
 
-    monkeypatch.setattr(fitting, "_zoom_min", counted)
+    monkeypatch.setattr(fitting, "_best_phase", counted)
     return rows
 
 
@@ -782,7 +782,7 @@ def test_screen_phase_search_budget(phase_rows):
     assert phase_rows[:2] == [1, 60]
 
 
-def test_zoom_min_rows_independent_of_stacking():
+def test_best_phase_rows_independent_of_stacking():
     # the premise of a bit-identical skip: each row of one stacked
     # _qr_pieces call (R, Q^T y, rest) is that row's pieces computed alone,
     # and a phase search over the stacked rows gives each row what a search
@@ -801,10 +801,49 @@ def test_zoom_min_rows_independent_of_stacking():
     for lin in ([], [0], [1], [0, 1]):
         lo, hi = np.array([[0.0, 0.0], [1e12, 1e9]])[:, lin]
         for bounds in ((0.0, np.pi, True), (0.1, 1.0, False)):
-            phases, values = fitting._zoom_min(fitting._phase_profile(pieces, lin, coef, lo, hi), 3, *bounds)
+            phases, values = fitting._best_phase(pieces, lin, coef, lo, hi, *bounds)
             for i, one in enumerate(alone):
-                row = fitting._zoom_min(fitting._phase_profile(one, lin, coef, lo, hi), 1, *bounds)
+                row = fitting._best_phase(one, lin, coef, lo, hi, *bounds)
                 assert (row[0][0], row[1][0]) == (phases[i], values[i])
+
+
+@pytest.mark.parametrize("case", ["counts", "beatless", "narrow_phi0", "bounds_active"])
+def test_best_phase_not_beaten_by_a_dense_scan(case):
+    # at every screen grid point, a scan of the exact profile every 1e-4 rad
+    # over the phase window finds no chi2 below the closed-form phase's by
+    # more than the tie margin.  The slow-beat points (tau_d of 5e9 s and
+    # more) have basins about 1e-5 rad wide; roots from the phase's Fourier
+    # coefficients, which are not small where the model column is, missed
+    # them by up to 10 % in chi2.  "bounds_active" holds n0 in [1, 2] and
+    # the background in [0.01, 0.015] on beatless data with background 0.02,
+    # so that the held pieces of the profile hold
+    cases = _screen_oracle_cases()
+    series, cfg = cases["beatless" if case == "bounds_active" else case]
+    if case == "bounds_active":
+        cfg = replace(cfg, bounds={"n0": (1.0, 2.0), "background": (0.01, 0.015)})
+    data = fitting._WeightedSeries(series, cfg.base.tau0, cfg.base.t_pump)
+    model = _BinModel(data.edges, cfg.base.tau0, cfg.base.t_pump)
+    _, taus = fitting._tau_grid(cfg.bounds["tau_d"])
+    pieces = fitting._qr_pieces(data.columns(np.array([model.phase_columns(float(tau)) for tau in taus])), data.y)
+    lin = [i for i, name in enumerate(fitting._LINEAR) if name in cfg.free_params]
+    lo, hi = np.array([cfg.bounds[fitting._LINEAR[i]] for i in lin]).reshape(-1, 2).T
+    coef = (cfg.base.n0, cfg.base.background)
+    phase_lo, phase_hi = cfg.bounds["phi0"]
+    periodic = phase_hi - phase_lo >= np.pi
+    _, chis = fitting._best_phase(pieces, lin, coef, lo, hi, phase_lo, phase_hi, periodic)
+    scan = phase_lo + 1e-4 * np.arange(int((np.pi if periodic else phase_hi - phase_lo) / 1e-4) + 1)
+    profile = fitting._phase_profile(pieces, lin, coef, lo, hi)
+    least = np.min([profile(np.broadcast_to(part, (len(taus), len(part)))).min(axis=1)
+                    for part in np.array_split(scan, len(scan) // 2000)], axis=0)
+    assert np.all(chis - least <= 1e-9 * (1.0 + np.abs(chis)))
+
+
+def test_beatless_fit_reaches_the_narrow_basin():
+    # the earlier search compared 64 phases 0.049 rad apart first and missed
+    # a slow-beat basin about 1e-5 rad wide: it returned chi2 580.6219465 at
+    # tau_d 1.86e6 s, where a fixed-phi0 fit at 5.62e7 s gives 580.6203237
+    out = fit_beat(*_beatless_free_background())
+    assert out.chi2 <= 580.62033
 
 
 def test_screen_skip_keeps_a_point_within_the_bound(monkeypatch):

@@ -1,10 +1,12 @@
 from decimal import Decimal, localcontext
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from mossbeat import spectra
 from mossbeat import (
     BeatParams,
     CountSeries,
@@ -114,6 +116,45 @@ def test_ratio_series_contiguity(t_start):
     # edges would misstate such bins: a gap after bin 0 would make it 100 s wide
     with pytest.raises(StructuralError, match="break between bins 0 and 1"):
         RatioSeries(t_start, [10.0, 10.0], [1.0, 1.0], [0.1, 0.1], [True, True], [False, False])
+
+
+def test_contiguity_verdicts_match_the_one_line_test():
+    # the gap and tolerance are formed in place with the same elementwise
+    # operations as |t[1:] - (t[:-1] + w[:-1])| > rtol max(w[1:], w[:-1]),
+    # so the first break found is that test's, at the tolerance's edge too
+    rng = np.random.default_rng(11)
+    width = rng.uniform(0.5, 2.0, 2000)
+    start = np.concatenate([[0.0], np.cumsum(width[:-1])])
+    tol = spectra._EDGE_RTOL * np.maximum(width[1:], width[:-1])
+    for k, shift in [(17, 1.0), (900, -0.999), (1500, 1.001), (1999, 5.0)]:
+        t = start.copy()
+        t[k] += shift * tol[k - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            broken = np.abs(t[1:] - (t[:-1] + width[:-1])) > spectra._EDGE_RTOL * np.maximum(width[1:], width[:-1])
+        if broken.any():
+            with pytest.raises(StructuralError, match=f"break between bins {int(np.argmax(broken))} and"):
+                spectra._check_contiguous(t, width)
+        else:
+            spectra._check_contiguous(t, width)
+    # an edge sum that overflows counts as a break, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="break between bins 0 and 1"):
+            spectra._check_contiguous(np.array([1.7e308, 1.7e308]), np.array([1.7e308, 1.0]))
+
+
+def test_contiguity_check_memory_is_bounded():
+    # 60 000 bins of 1.2 s: the check makes the gap and the tolerance in
+    # place, two temporaries of the 0.48 MB column, and a boolean mask
+    t, w = 1.2 * np.arange(60000), np.full(60000, 1.2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectra._check_contiguous(t, w)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * t[1:].nbytes
 
 
 @pytest.mark.parametrize("t_start, width", [
