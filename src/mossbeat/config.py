@@ -97,7 +97,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not {fh.encoding} text: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -17,12 +17,15 @@ one string per block.
 Each reader first tries one numpy pass.  It reads the file in binary,
 checks the exact header and then scans the rest in chunks of
 ``_SCAN_BYTES`` for bytes outside printable ASCII and "\n" and for a line
-longer than the csv module's field size limit.  It then parses every data
-row from the same open file through ``np.loadtxt`` and checks whole
-columns.  Where that pass declines a file or finds anything wrong, the
-row-by-row reader reads it again; it is the authority on which files are
-accepted and on every error message, so both paths return the same series
-or raise the same error.
+longer than the csv module's field size limit, counting the data rows.
+It then reads the data rows again, ``_BLOCK_BINS`` at a time, parses each
+block through ``np.loadtxt`` into columns allocated for all the rows and
+checks that its rows name one channel.  The columns are marked read-only
+and the series keeps them, so neither a whole-file table nor a second
+copy of a column is made.  Where that pass declines a
+file or finds anything wrong, the row-by-row reader reads it again; it
+is the authority on which files are accepted and on every error message,
+so both paths return the same series or raise the same error.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 
 from .errors import StructuralError
-from .spectra import _CHANNELS, _EDGE_RTOL, CountSeries, RatioSeries
+from .spectra import _CHANNELS, _EDGE_RTOL, CountSeries, RatioSeries, _frozen
 
 COUNT_HEADER = ["t_start_s", "width_s", "counts", "channel"]
 RATIO_HEADER = ["t_start_s", "width_s", "ratio", "sigma"]
@@ -53,7 +57,8 @@ _RATIO_DTYPE = np.dtype([(name, "f8") for name in RATIO_HEADER])
 # number parser skips some control characters (such as "\x1c") that
 # ``float`` and ``int`` reject, and its string fields drop trailing NULs.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
-# rows per block of the writers, and bytes per chunk of the reader's scan
+# rows per block of the writers and of the reader's parse, and bytes per
+# chunk of the reader's scan
 _BLOCK_BINS = 4096
 _SCAN_BYTES = 1 << 18
 
@@ -150,68 +155,92 @@ def _ratio_series(t_start, width, ratio, sigma) -> RatioSeries:
     sigma = np.asarray(sigma, dtype=float)
     valid = np.isfinite(ratio) & np.isfinite(sigma)
     low = valid & (ratio == 0.0)
-    return RatioSeries(t_start, width, ratio, sigma, valid, low)
+    return RatioSeries(t_start, width, ratio, sigma, _frozen(valid), _frozen(low))
 
 
 # --- numpy pass --------------------------------------------------------------
 
 
 def _load_table(path, header, dtype):
-    """All data rows of ``path`` as one structured array, or None.
+    """The columns of all data rows of ``path``, in the fields of ``dtype``,
+    or None.
 
-    None means the file is not plain enough for this pass: another header
-    line, no data rows, a byte outside ``_PLAIN_BYTES``, or a line longer
-    than the csv module's field size limit (where the row reader fails).
-    Those are checked over chunks of ``_SCAN_BYTES``, carrying the length
-    of the line that a chunk ends in; then ``np.loadtxt`` reads the rows
-    from the same open file.
+    Each numeric field is a read-only array, which a series keeps.  A bytes
+    field (the channel) must be the same on every row and is returned as
+    that one value.  None means the file is not plain enough for this pass:
+    another header line, no data rows (``_count_lines``), or a bytes field
+    that varies.  The columns are allocated once the data rows are counted;
+    ``np.loadtxt`` then fills them ``_BLOCK_BINS`` rows at a time, so that
+    every block but the last takes memory of one size.
     """
     head = (",".join(header) + "\n").encode("ascii")
-    limit = csv.field_size_limit()
-    line, data = 0, False
     with open(path, "rb") as fh:
         if fh.read(len(head)) != head:
             return None
-        while chunk := fh.read(_SCAN_BYTES):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
-            # the length of each line in the chunk, the first one counted
-            # from its start in an earlier chunk, the last one so far
-            breaks = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-            lengths = np.diff(breaks, prepend=-1 - line, append=len(chunk)) - 1
-            if lengths.max() > limit:
-                return None
-            line, data = int(lengths[-1]), data or bool(lengths.any())
-        if not data:
+        rows, lines = _count_lines(fh)
+        if not rows:
             return None
         fh.seek(len(head))
+        # numpy skips empty lines; leave them out, where there are any, so
+        # that a block of lines is a block of rows
+        data = fh if rows == lines else filter(b"\n".__ne__, fh)
+        columns = [None if dtype[name].kind == "S" else np.empty(rows, dtype[name]) for name in dtype.names]
+        shared = {}
         # some numpy releases (1.23 on) parse a non-integer count such as "2.5"
         # or "1e3" through a float, truncate it and only warn; any warning here
         # is a decline, so such files go to the row reader, which rejects them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                              quotechar=None, ndmin=1, encoding="ascii")
+            for at in range(0, rows, _BLOCK_BINS):
+                part = np.loadtxt(itertools.islice(data, _BLOCK_BINS), dtype=dtype, delimiter=",",
+                                  comments=None, quotechar=None, ndmin=1, encoding="ascii")
+                if len(part) != min(_BLOCK_BINS, rows - at):  # no unset value may pass
+                    return None
+                for name, column in zip(dtype.names, columns):
+                    if column is not None:
+                        column[at:at + len(part)] = part[name]
+                    elif not (part[name] == shared.setdefault(name, part[name][0])).all():
+                        return None
+    return [shared[name] if column is None else _frozen(column) for name, column in zip(dtype.names, columns)]
+
+
+def _count_lines(fh) -> tuple[int, int]:
+    """The number of data rows (the lines that are not empty) and of lines
+    in the rest of ``fh``; no rows where it holds a byte outside
+    ``_PLAIN_BYTES`` or a line longer than the csv module's field size limit
+    (where the row reader fails).  The rest is scanned in chunks of
+    ``_SCAN_BYTES``, carrying the length of the line that a chunk ends in."""
+    limit = csv.field_size_limit()
+    line, rows, lines = 0, 0, 0
+    while chunk := fh.read(_SCAN_BYTES):
+        if chunk.translate(None, _PLAIN_BYTES):
+            return 0, 0
+        # the length of each line in the chunk, the first one counted
+        # from its start in an earlier chunk, the last one so far
+        breaks = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        lengths = np.diff(breaks, prepend=-1 - line, append=len(chunk)) - 1
+        if lengths.max() > limit:
+            return 0, 0
+        rows += np.count_nonzero(lengths[:-1])
+        lines += len(breaks)
+        line = int(lengths[-1])
+    return rows + (line > 0), lines + (line > 0)
 
 
 def _count_table(path) -> CountSeries | None:
     # CountSeries checks the channel name, finite times, positive widths,
     # nonnegative counts and contiguity
-    table = _load_table(path, COUNT_HEADER, _COUNT_TABLE_DTYPE)
-    if table is None:
+    columns = _load_table(path, COUNT_HEADER, _COUNT_TABLE_DTYPE)
+    if columns is None:
         return None
-    channel = table["channel"][0]
-    if not (table["channel"] == channel).all():
-        return None
-    return CountSeries(channel.decode("ascii"), table["t_start_s"], table["width_s"], table["counts"])
+    t_start, width, counts, channel = columns
+    return CountSeries(channel.decode("ascii"), t_start, width, counts)
 
 
 def _ratio_table(path) -> RatioSeries | None:
     # RatioSeries checks finite times, positive widths and contiguity
-    table = _load_table(path, RATIO_HEADER, _RATIO_DTYPE)
-    if table is None:
-        return None
-    return _ratio_series(table["t_start_s"], table["width_s"], table["ratio"], table["sigma"])
+    columns = _load_table(path, RATIO_HEADER, _RATIO_DTYPE)
+    return None if columns is None else _ratio_series(*columns)
 
 
 # --- row-by-row reader: the authority on rejected files ----------------------

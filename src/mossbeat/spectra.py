@@ -56,9 +56,19 @@ def _int64_counts(c: np.ndarray) -> bool:
 
 
 def _as_readonly(a, dtype):
-    out = np.asarray(a, dtype=dtype).copy()
-    out.setflags(write=False)
-    return out
+    """``a`` itself where it is a read-only ``np.ndarray`` of ``dtype`` that
+    owns its data, else a read-only copy: no one can change a series through
+    a writable array or a view (whose base may be writable)."""
+    if type(a) is np.ndarray and a.dtype == dtype and a.base is None and not a.flags.writeable:
+        return a
+    return _frozen(np.asarray(a, dtype=dtype).copy())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, which owns its data and is held by no one else, marked
+    read-only, so that a series built from it keeps it."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,12 @@ class CountSeries:
 
     Bins are finite, contiguous, non-overlapping and sorted; counts are
     nonnegative integers.  ``energy_window`` is metadata only.
+
+    The arrays are read-only.  A read-only ``np.ndarray`` that owns its
+    data and has the stored dtype (float64 times and widths, int64 counts)
+    is kept as given, so series can share it, as ``simulate_counts``'s two
+    share one time axis; anything else (a list, a writable array, a view,
+    another dtype) is copied.
     """
 
     channel: str
@@ -100,7 +116,7 @@ class CountSeries:
 
     @property
     def edges(self) -> np.ndarray:
-        """Bin edges, length len(self) + 1."""
+        """Bin edges, length len(self) + 1; an empty series has none."""
         if len(self.t_start) == 0:
             return np.zeros(0)
         return np.append(self.t_start, self.t_start[-1] + self.width[-1])
@@ -119,6 +135,10 @@ class RatioSeries:
     valid bins whose numerator was zero (their sigma comes from a
     one-count floor on the numerator).  Invalid bins carry NaN ratio and
     sigma; bins are finite, contiguous and sorted, as in ``CountSeries``.
+
+    The arrays are read-only, kept or copied as in ``CountSeries`` (float64
+    times, widths, ratio and sigma; bool flags): ``normalize`` hands over
+    its gamma series' time axis and its own four new arrays, all kept.
     """
 
     t_start: np.ndarray
@@ -207,11 +227,13 @@ def simulate_counts(
     mu_kalpha = kalpha_bin_expected(kalpha_scale, beat.tau0, beat.t_pump, edges)
 
     counts = [
-        np.random.default_rng(stream).poisson(mu)
+        _frozen(np.random.default_rng(stream).poisson(mu))
         for mu, stream in zip((mu_gamma, mu_kalpha), np.random.SeedSequence(seed).spawn(2))
     ]
-    gamma = CountSeries("gamma", edges[:-1], np.full(n_bins, width), counts[0], GAMMA_WINDOW_KEV)
-    kalpha = CountSeries("kalpha", edges[:-1], np.full(n_bins, width), counts[1], KALPHA_WINDOW_KEV)
+    # both series keep one time axis
+    t_start, widths = _frozen(edges[:-1].copy()), _frozen(np.full(n_bins, width))
+    gamma = CountSeries("gamma", t_start, widths, counts[0], GAMMA_WINDOW_KEV)
+    kalpha = CountSeries("kalpha", t_start, widths, counts[1], KALPHA_WINDOW_KEV)
     return gamma, kalpha
 
 
@@ -250,7 +272,8 @@ def normalize(gamma: CountSeries, kalpha: CountSeries) -> RatioSeries:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio[valid] = g[valid] / k[valid]
         sigma[valid] = np.sqrt(np.maximum(g[valid], 1.0) + g[valid] ** 2 / k[valid]) / k[valid]
-    return RatioSeries(gamma.t_start, gamma.width, ratio, sigma, valid, low)
+    # the ratio keeps gamma's time axis
+    return RatioSeries(gamma.t_start, gamma.width, *map(_frozen, (ratio, sigma, valid, low)))
 
 
 def rebin(series: CountSeries, factor: int) -> CountSeries:
@@ -272,7 +295,7 @@ def rebin(series: CountSeries, factor: int) -> CountSeries:
             stacklevel=2,
         )
     take = n_groups * factor
-    counts = series.counts[:take].reshape(n_groups, factor).sum(axis=1)
-    width = series.width[:take].reshape(n_groups, factor).sum(axis=1)
-    t_start = series.t_start[:take:factor]
+    counts = _frozen(series.counts[:take].reshape(n_groups, factor).sum(axis=1))
+    width = _frozen(series.width[:take].reshape(n_groups, factor).sum(axis=1))
+    t_start = series.t_start[:take:factor]  # a view: the series copies it
     return CountSeries(series.channel, t_start, width, counts, series.energy_window)

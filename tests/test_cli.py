@@ -297,6 +297,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert run_cli(["estimate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content, message", [
     (b"t_start_s,width_s,counts,channel\n0,1,99999999999999999999,gamma\n",
      "error: line 2: counts must fit in a 64-bit integer, got 99999999999999999999\n"),

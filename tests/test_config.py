@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def test_from_file_reports_json_position(tmp_path):
         RunConfig.from_file(path)
     msg = str(err.value)
     assert "line 1" in msg and "column" in msg
+
+
+def test_from_file_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: not ")):
+        RunConfig.from_file(path)
 
 
 def test_from_file_happy(tmp_path):

@@ -157,6 +157,48 @@ def test_contiguity_check_memory_is_bounded():
     assert peak <= 2.5 * t[1:].nbytes
 
 
+def test_series_keep_only_read_only_arrays_that_own_their_data():
+    t, w, c = np.arange(3.0), np.ones(3), np.array([3, 0, 7])
+    # writable arrays are copied: changing them leaves the series as it was
+    s = CountSeries("gamma", t, w, c)
+    t[0], c[0] = -5.0, 9
+    assert s.t_start[0] == 0.0 and s.counts[0] == 3
+    assert not np.shares_memory(s.t_start, t) and not np.shares_memory(s.counts, c)
+    # a read-only view of a writable base is copied
+    base = np.arange(4.0)
+    view = base[:3]
+    view.setflags(write=False)
+    s = CountSeries("gamma", view, w, [3, 0, 7])
+    base[0] = -5.0
+    assert s.t_start[0] == 0.0 and not np.shares_memory(s.t_start, base)
+    # read-only arrays that own their data are kept; another dtype is copied
+    t, w32 = np.arange(3.0), np.ones(3, dtype=np.float32)
+    for a in (t, w, c, w32):
+        a.setflags(write=False)
+    s = CountSeries("gamma", t, w, c)
+    assert np.shares_memory(s.t_start, t) and np.shares_memory(s.width, w) and np.shares_memory(s.counts, c)
+    s = CountSeries("gamma", t, w32, c)
+    assert s.width.dtype == np.float64 and not np.shares_memory(s.width, w32)
+    flags = np.array([True, False, True])
+    flags.setflags(write=False)
+    r = RatioSeries(t, w, [1.0, np.nan, 0.0], [0.5, np.nan, 1.0], flags, [False, False, True])
+    assert np.shares_memory(r.valid, flags) and np.shares_memory(r.t_start, t)
+    assert not any(getattr(r, name).flags.writeable for name in ("ratio", "sigma", "valid", "low_count"))
+
+
+def test_one_product_holds_one_time_axis():
+    gamma, kalpha = simulate_counts(BeatParams(), 10.0, 24.0, 14400.0, seed=7)
+    ratio = normalize(gamma, kalpha)
+    for series in (kalpha, ratio):
+        assert series.t_start is gamma.t_start and series.width is gamma.width
+    for a in (gamma.t_start, gamma.width, gamma.counts, kalpha.counts,
+              ratio.ratio, ratio.sigma, ratio.valid, ratio.low_count):
+        assert a.base is None and not a.flags.writeable
+    coarse = rebin(gamma, 4)
+    assert coarse.counts.base is None and coarse.width.base is None
+    assert not np.shares_memory(coarse.t_start, gamma.t_start)
+
+
 @pytest.mark.parametrize("t_start, width", [
     ([0.0, np.inf], [np.inf, 1.0]),  # the gap test cannot see inf - inf
     ([0.0, np.nan], [1.0, 1.0]),

@@ -23,8 +23,9 @@ The models, each ``bin_expected_counts`` with both kernels:
 Every field and value is hashed exactly: floats by their hex form, arrays
 by their bytes.  Two checkouts whose fits and models agree bit for bit
 print the same digest on one machine.  Another BLAS build can round
-differently, so no digest is stored; compare two checkouts on the same
-machine.  ``--list`` prints one line per entry (its label, its own digest,
+differently, so compare two checkouts on the same machine.  The CI
+workflow pins the digest of the current code, and a change that moves a
+fit or a model updates it there.  ``--list`` prints one line per entry (its label, its own digest,
 and tau_d and chi2 for a fit, the total for a model) before the digest.
 """
 
