@@ -5,43 +5,35 @@ model integrated over each bin, exactly how the simulator generates
 expectations.  cos^2(x + phi0) = 1/2 + cos(2 phi0) cos(2x) / 2 -
 sin(2 phi0) sin(2x) / 2, so at a fixed tau_d the binned model is
 n0 (K/2 + cos(2 phi0) D - sin(2 phi0) S) + background B, and one panel
-pass gives the columns.  Everything but tau_d is solved at each tau_d
-by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+pass gives the columns.  A fit is three steps.  The weighting
+(``_WeightedSeries``) divides the kept bins and the columns by sigma.
+The profile step (``_profile``) solves everything but tau_d at each
+tau_d by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 1973): from the QR factor of the columns, the best n0 and background
 (bounded weighted least squares) cost O(1) per trial phase, and phi0
 is solved in closed form (``_best_phase``): the stationary points of
 the profile in phi0, the real roots of one quartic per active set of
 those bounds (``_phase_roots``), are snapped to a lattice of spacing
 pi / 2^31 (about 1.5e-9 rad) and compared, with their lattice
-neighbours, by their chi2.  The fit screens this exact-phase profile
-chi2(tau_d) on a log-spaced tau_d grid, which finds the one deep basin
-of the beat landscape without a multistart.  A grid point's profile
-chi2 is rest + ss, with rest the squared residual outside the span of
-its four columns and ss >= 0, so it is never below rest, in floating
-point too.  The phase is therefore searched first at the point of least
-rest, and then only at points whose rest is not above that chi2 by more
-than the tie margin; the others can neither win nor tie.  With a
-measured beat only that first point is searched; where the data carry
-no beat (n0 = 0) nothing is skipped, nor is anything where a rest is
-NaN.  The screen weights and factors its points in stacks of about 4096
-rows (6 points at 600 bins).  LAPACK factors each point on its own and
-every later step is per point, so a point's numbers do not depend on the
-points stacked or searched with it, and the result is bit for bit that
-of a search at every point, one at a time.
+neighbours, by their chi2.  The polish (``_polish``) walks a lattice of
+spacing 2^-28 in z = log10 tau_d by Gauss-Newton steps from the best
+point of a screen.
 
-The fit then polishes the best grid point by at most 8 safeguarded
-Gauss-Newton steps in z = log10 tau_d (Kaufman, BIT 15, 1975), inside
-the bracket of its neighbours: slope 2 m.r and curvature 2 |m|^2 for
-the residuals r and m = -dmodel/dz, with the free inner parameters off
-their bounds projected out.  The exact derivative columns come from the
-same panel pass as the model's.  A step that leaves the bracket, meets
-zero curvature (n0 = 0, say) or does not lower chi2 gives way to
-bisection, as does a target that rounds to a point already tried; one
-that rounds to the current point ends the steps.  A rejected step moves
-only the bracket, so the slope and curvature are kept.  Every step
-lands on a lattice of spacing 2^-28 in z, and the final tau_d is the
-lattice point of least chi2 found by comparison within 2 lattice steps
-of the best one the steps reached.
+The screen takes this exact-phase profile chi2(tau_d) on a log-spaced
+tau_d grid, which finds the one deep basin of the beat landscape without
+a multistart.  A grid point's profile chi2 is rest + ss, with rest the
+squared residual outside the span of its four columns and ss >= 0, so it
+is never below rest, in floating point too.  The phase is therefore
+searched first at the point of least rest, and then only at points whose
+rest is not above that chi2 by more than the tie margin; the others can
+neither win nor tie.  With a measured beat only that first point is
+searched; where the data carry no beat (n0 = 0) nothing is skipped, nor
+is anything where a rest is NaN.  The screen weights and factors its
+points in stacks of about 4096 rows (6 points at 600 bins).  LAPACK
+factors each point on its own and every later step is per point, so a
+point's numbers do not depend on the points stacked or searched with it,
+and the result is bit for bit that of a search at every point, one at a
+time.
 
 What depends only on the bin edges, tau0 and t_pump, the binning, has one
 owner, a ``_Binning``: the binned model, which keeps each block's set-up
@@ -51,9 +43,7 @@ grid (2 x grid x bins doubles: 0.6 MB for 61 grid points and 600 bins,
 59 MB at 60 000) and the derivative pass at the last best grid point (4 x
 bins doubles: 19 KB at 600 bins, 1.9 MB at 60 000).  The process keeps the
 binning of the last fit (``_binning``), so a further fit on it builds no
-model and, with tau_d free, screens without a panel pass.  A fit takes its
-binning once, at its start, and holds it to the end, so fits running
-concurrently in threads give the results of serial fits.
+model and, with tau_d free, screens without a panel pass.
 
 Accepted series are duck-typed: anything with ``edges`` and ``counts``
 arrays fits as a count series (sigma = sqrt(max(counts, 1)), Neyman's
@@ -66,8 +56,9 @@ fitted n0 is measured in units of the fluorescence scale).
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -304,18 +295,27 @@ def _tau_grid(bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     return z_grid, taus
 
 
-@dataclass(frozen=True)
-class _Point:
-    """A profile point: tau_d, its profile chi2, the best phase, n0 and
-    background there, the pass's columns and the unit-n0 model column."""
+# a profile point: tau_d, its profile chi2, the best phase, n0 and
+# background there, the pass's weighted columns and the unit-n0 model column
+_Point = namedtuple("_Point", "tau chi phase n0 background cols unit")
 
-    tau: float
-    chi: float
-    phase: float
-    n0: float
-    background: float
-    cols: np.ndarray
-    unit: np.ndarray
+
+class _Inner:
+    """What a profile point solves besides tau_d, read from a ``FitConfig``:
+    n0 and background by ``_bounded_lstsq(..., *linear)``; phi0 free within
+    [phase_lo, phase_hi], unbounded when ``periodic``, or held at base."""
+
+    def __init__(self, cfg: FitConfig):
+        self.cfg = cfg
+        lin = [i for i, name in enumerate(_LINEAR) if name in cfg.free_params]
+        lo, hi = np.array([cfg.bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
+        self.linear = lin, (cfg.base.n0, cfg.base.background), lo, hi
+        self.phase_lo, self.phase_hi = cfg.bounds["phi0"]
+        self.periodic = "phi0" in cfg.free_params and self.phase_hi - self.phase_lo >= np.pi
+
+    def wrap(self, phase: float) -> float:
+        """phase reduced to [phase_lo, phase_lo + pi) when periodic."""
+        return float(self.phase_lo + (phase - self.phase_lo) % np.pi) if self.periodic else phase
 
 
 def _bounded_lstsq(a, c, t, lin, coef, lo, hi):
@@ -524,9 +524,122 @@ def _tie_limit(chi: float) -> float:
     return chi + 1e-9 * (1.0 + abs(chi))
 
 
-def _wrap(phase: float, lo: float, periodic: bool) -> float:
-    """phase reduced to [lo, lo + pi) when periodic."""
-    return float(lo + (phase - lo) % np.pi) if periodic else phase
+def _solve(pieces, inner: _Inner):
+    """Best phase and its profile chi2 at each tau_d of the stacked QR pieces."""
+    if "phi0" in inner.cfg.free_params:
+        return _best_phase(pieces, *inner.linear, inner.phase_lo, inner.phase_hi, inner.periodic)
+    phi0 = np.full((len(pieces[2]), 1), inner.cfg.base.phi0)
+    return phi0[:, 0], _phase_profile(pieces, *inner.linear)(phi0)[:, 0]
+
+
+def _residuals(pt: _Point, y: np.ndarray) -> np.ndarray:
+    return y - pt.n0 * pt.unit - pt.background * pt.cols[:, 3]
+
+
+def _jacobian(pt: _Point) -> dict:
+    """Columns of the weighted residuals' Jacobian by parameter; tau_d's
+    comes from the exact derivative columns, when the pass made them."""
+    c, s = np.cos(2.0 * pt.phase), np.sin(2.0 * pt.phase)
+    jac = {"n0": -pt.unit, "background": -pt.cols[:, 3],
+           "phi0": 2.0 * pt.n0 * (s * pt.cols[:, 1] + c * pt.cols[:, 2])}
+    if pt.cols.shape[1] > 4:
+        jac["tau_d"] = -pt.n0 * (c * pt.cols[:, 4] - s * pt.cols[:, 5])
+    return jac
+
+
+def _newton(pt: _Point, y: np.ndarray, inner: _Inner) -> tuple[float, float]:
+    """Gauss-Newton slope 2 m.r and curvature 2 |m|^2 of the profile chi2 in
+    z = log10 tau_d, for the residuals r and m = -dmodel/dz from the pass's
+    derivative columns with the free inner parameters off their bounds
+    projected out, which also corrects the slope for the phase's quantization
+    to first order (Golub & Pereyra 1973; Kaufman, BIT 15 (1975) 49)."""
+    jac = _jacobian(pt)
+    m = np.log(10.0) * pt.tau * jac["tau_d"]
+    values = {"n0": pt.n0, "background": pt.background, "phi0": pt.phase}
+    cols = [jac[name] for name in inner.cfg.free_params if name != "tau_d"
+            and (name == "phi0" and inner.periodic or values[name] not in inner.cfg.bounds[name])]
+    if cols:
+        a = np.column_stack(cols)
+        m = m - a @ np.linalg.lstsq(a, m, rcond=None)[0]
+    return 2.0 * np.dot(m, _residuals(pt, y)), 2.0 * np.dot(m, m)
+
+
+def _profile(data: _WeightedSeries, unweighted: np.ndarray, taus, inner: _Inner, known=None) -> list[_Point]:
+    """The profile step: the ``_Point`` at each of a stack of tau_d from its
+    unweighted pass columns (points, 2 or 4, all bins), weighted by ``data``;
+    the phase is searched on their QR pieces unless ``known`` gives each
+    point's (phase, chi2), then n0 and background are solved there.  Each
+    point is solved on its own, bit for bit as it would be alone."""
+    cols = data.columns(unweighted)
+    if known is None:
+        known = _solve(_qr_pieces(cols, data.y), inner)
+    phases, chis = known
+    c, s = np.cos(2.0 * phases)[:, None], np.sin(2.0 * phases)[:, None]
+    unit = cols[..., 0] + c * cols[..., 1] - s * cols[..., 2]
+    n0, background, _ = _bounded_lstsq(unit, cols[..., 3], data.y, *inner.linear)
+    return [_Point(float(v[0]), *map(float, v[1:5]), *v[5:])
+            for v in zip(taus, chis, phases, n0, background, cols, unit)]
+
+
+def _point(data: _WeightedSeries, model: _BinModel, inner: _Inner, tau, derivs: bool = False) -> _Point:
+    """The profile point at tau_d from one panel pass of ``model``."""
+    return _profile(data, np.array(model.phase_columns(float(tau), derivs))[None], [tau], inner)[0]
+
+
+def _lattice_point(data: _WeightedSeries, model: _BinModel, inner: _Inner, k: int, derivs: bool) -> _Point:
+    """The profile point at lattice index k of log10 tau_d, clipped to bounds."""
+    return _point(data, model, inner, np.clip(10.0 ** (k * _Z_STEP), *inner.cfg.bounds["tau_d"]), derivs)
+
+
+def _polish(probe, newton, start, z: float, lo: float, hi: float):
+    """The polish: at most 8 safeguarded Newton steps in z = log10 tau_d from
+    ``start`` at z, inside the bracket [lo, hi], on the lattice z = k 2^-28,
+    then the lattice point of least chi2 within 2 steps of the best one
+    they reached, ties to the lower k; returned if below the start's chi2,
+    else the start.  ``probe(k, derivs)`` gives the point at k with its
+    ``chi``; ``newton`` gives the slope and curvature in z of a point probed
+    with ``derivs``, as ``start`` is, once for each point the steps stand
+    on.  A step that leaves the bracket, meets zero curvature (n0 = 0, say)
+    or does not lower chi2 gives way to bisection, as does a target that
+    rounds to a point already tried; one that rounds to the current point
+    ends the steps.  No k outside the bracket is probed, nor any k twice."""
+    k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
+    pt, tried, slope_at = start, {}, None
+    for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
+        if slope_at is not pt:  # a rejected step moves only the bracket
+            slope_at, (slope, curv) = pt, newton(pt)
+        if slope > 0.0:
+            hi = min(hi, z)
+        elif slope < 0.0:
+            lo = max(lo, z)
+        target = z - slope / curv if curv > 0.0 else np.nan
+        if not lo < target < hi:  # also when nan: bisect the bracket
+            target = 0.5 * (lo + hi)
+        k = min(max(round(target / _Z_STEP), k_lo), k_hi)
+        if k in tried and tried[k] is not pt:  # a point already tried: bisect
+            k = min(max(round(0.5 * (lo + hi) / _Z_STEP), k_lo), k_hi)
+        if k in tried:  # converged on the current point, or nothing left to try
+            break
+        tried[k] = probe(k, True)
+        if tried[k].chi < pt.chi:
+            z, pt = k * _Z_STEP, tried[k]
+        elif k * _Z_STEP > z:
+            hi = k * _Z_STEP
+        else:
+            lo = k * _Z_STEP
+    if not tried:
+        return start
+    # the final point is chosen by comparing chi2 on the lattice only,
+    # so data rescaled by a constant give the same tau_d bit for bit
+    k0 = k = min((p.chi, j) for j, p in tried.items())[1]
+    for step in (-1, 1):
+        while abs(k + step - k0) <= _WINDOW and k_lo <= k + step <= k_hi:
+            if k + step not in tried:
+                tried[k + step] = probe(k + step, False)
+            if not tried[k + step].chi < tried[k].chi:
+                break
+            k += step
+    return tried[k] if tried[k].chi < start.chi else start
 
 
 def fit_beat(series, cfg: FitConfig) -> FitResult:
@@ -544,103 +657,34 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
     bound returns it exactly and is named in ``message``.  When the phi0
     bounds span at least pi, the period of the model, phi0 is unbounded
     and reported in [lo, lo + pi); narrower bounds are enforced.  At each
-    tau_d it solves, phi0 is the stationary point of the profile chi2, or
-    end of its bounds, of least chi2, compared on the lattice lo + k pi /
-    2^31 (with hi itself in place of the lattice points above it) within
-    2 lattice steps of each.  The covariance is Gauss-Newton, with exact
-    Jacobian columns for every free parameter.
+    tau_d, phi0 is solved in closed form (see the module docstring).  The
+    covariance is Gauss-Newton, with exact Jacobian columns for every free
+    parameter.
 
     ``evaluations`` counts model evaluations, one panel pass at one tau_d
     each, kept passes included: 61 for the screen with default bounds and
     at most 14 more, or 1 with tau_d fixed.  ``starts`` holds one
     ``FitStart``, the screen's best grid point (with tau_d fixed, its one
-    point), when tau_d or phi0 is free.
+    point), when tau_d or phi0 is free.  A series with fewer kept bins than
+    free parameters raises ``StructuralError``.
 
-    A series with fewer kept bins than free parameters raises
-    ``StructuralError``.
-
-    A fit holds the kept work of its binning (its edges, tau0 and t_pump)
-    from start to end, so fits running concurrently in threads return what
-    serial fits return.  The process keeps the binning of the last fit.  A
-    further fit on it builds no model and makes no screen pass, nor a pass
-    at its best grid point when that is the previous fit's; its result is
-    bit for bit that of a fit on a binning kept by none.
+    A fit holds its binning (edges, tau0 and t_pump) from start to end, so
+    fits in threads return what serial fits return.  A fit on the binning
+    of the last fit makes no screen pass, nor a pass at its best grid point
+    when that is the last fit's; its result is bit for bit the same.
     """
-    free = cfg.free_params
-    base = cfg.base
-    bounds = cfg.bounds
+    free, base, bounds = cfg.free_params, cfg.base, cfg.bounds
     data = _WeightedSeries(series, base.tau0, base.t_pump)
     if len(data.y) < len(free):
         raise StructuralError(f"series has {len(data.y)} kept bins, fewer than its {len(free)} free parameters")
-    lin = [i for i, name in enumerate(_LINEAR) if name in free]
-    lin_lo, lin_hi = np.array([bounds[_LINEAR[i]] for i in lin]).reshape(-1, 2).T
-    coef = (base.n0, base.background)
-    phase_lo, phase_hi = bounds["phi0"]
-    periodic = "phi0" in free and phase_hi - phase_lo >= np.pi
-
-    def solve(pieces):
-        """Best phase and its profile chi2 at each tau_d of the stacked QR pieces."""
-        if "phi0" not in free:
-            rows = len(pieces[2])
-            profile = _phase_profile(pieces, lin, coef, lin_lo, lin_hi)
-            return np.full(rows, base.phi0), profile(np.full((rows, 1), base.phi0))[:, 0]
-        return _best_phase(pieces, lin, coef, lin_lo, lin_hi, phase_lo, phase_hi, periodic)
-
-    def fit_at(tau, derivs=False, unweighted=None, known=None):
-        """One panel pass at tau_d and the best phase, n0 and background there.
-        ``unweighted`` is the pass's columns when they are kept (the binning's
-        derivative pass), ``known`` the (phase, chi2) the screen found at this
-        tau_d from the same columns, which is then not searched again."""
-        if unweighted is None:
-            unweighted = np.array(binning.model.phase_columns(float(tau), derivs))
-        cols = data.columns(unweighted[None])
-        if known is None:
-            known = [v[0] for v in solve(_qr_pieces(cols, data.y))]
-        cols = cols[0]
-        phase, chi = float(known[0]), float(known[1])
-        c, s = np.cos(2.0 * phase), np.sin(2.0 * phase)
-        unit = cols[:, 0] + c * cols[:, 1] - s * cols[:, 2]
-        n0, background, _ = _bounded_lstsq(unit, cols[:, 3], data.y, lin, coef, lin_lo, lin_hi)
-        return _Point(float(tau), chi, phase, float(n0), float(background), cols, unit)
-
-    def residuals(pt):
-        return data.y - pt.n0 * pt.unit - pt.background * pt.cols[:, 3]
-
-    def jacobian(pt):
-        """Columns of the weighted residuals' Jacobian by parameter; tau_d's
-        comes from the exact derivative columns, when the pass made them."""
-        c, s = np.cos(2.0 * pt.phase), np.sin(2.0 * pt.phase)
-        jac = {"n0": -pt.unit, "background": -pt.cols[:, 3],
-               "phi0": 2.0 * pt.n0 * (s * pt.cols[:, 1] + c * pt.cols[:, 2])}
-        if pt.cols.shape[1] > 4:
-            jac["tau_d"] = -pt.n0 * (c * pt.cols[:, 4] - s * pt.cols[:, 5])
-        return jac
-
-    def newton(pt):
-        """Gauss-Newton slope and curvature of the profile chi2 in log10 tau_d.
-
-        The inner parameters that are free and off their bounds are
-        projected out of the tau_d column, which also corrects the slope
-        for the phase's quantization to first order (Golub & Pereyra 1973;
-        Kaufman, BIT 15 (1975) 49)."""
-        jac = jacobian(pt)
-        m = np.log(10.0) * pt.tau * jac["tau_d"]
-        values = {"n0": pt.n0, "background": pt.background, "phi0": pt.phase}
-        inner = [jac[name] for name in free if name != "tau_d"
-                 and (name == "phi0" and periodic or values[name] not in bounds[name])]
-        if inner:
-            a = np.column_stack(inner)
-            m = m - a @ np.linalg.lstsq(a, m, rcond=None)[0]
-        return 2.0 * np.dot(m, residuals(pt)), 2.0 * np.dot(m, m)
-
-    tau, starts = float(base.tau_d), []
+    inner, starts = _Inner(cfg), []
     # this fit's binning throughout, whatever binning a later fit keeps
     binning = _binning(data.edges.tobytes(), float(base.tau0), float(base.t_pump))
     if "tau_d" not in free:  # one pass
-        final = fit_at(tau)
+        final = _point(data, binning.model, inner, float(base.tau_d))
         if "phi0" in free:
-            starts.append(FitStart(tau, _wrap(final.phase, phase_lo, periodic), final.chi,
-                                   data.evaluations, True, "best of 1 tau_d grid points"))
+            starts.append(FitStart(final.tau, inner.wrap(final.phase), final.chi, data.evaluations, True,
+                                   "best of 1 tau_d grid points"))
     else:
         # screen: the exact-phase profile chi2(tau_d) on a log grid
         z_grid, taus = _tau_grid(bounds["tau_d"])
@@ -654,75 +698,32 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
         rest = pieces[2]
         first = int(np.argmin(rest))
         phases, chis = np.full(len(taus), np.nan), np.full(len(taus), np.inf)
-        phases[[first]], chis[[first]] = solve([p[[first]] for p in pieces])
+        phases[[first]], chis[[first]] = _solve([p[[first]] for p in pieces], inner)
         search = ~(rest > _tie_limit(chis[first]))
         search[first] = False
         if search.any():
             idx = np.flatnonzero(search)
-            phases[idx], chis[idx] = solve([p[idx] for p in pieces])
+            phases[idx], chis[idx] = _solve([p[idx] for p in pieces], inner)
         best = int(np.flatnonzero(chis <= _tie_limit(chis.min()))[0])
         tau = float(taus[best])
-        starts.append(FitStart(tau, _wrap(float(phases[best]), phase_lo, periodic), float(chis[best]),
-                               data.evaluations, True, f"best of {len(taus)} tau_d grid points"))
-        # polish: safeguarded Newton from the best grid point, inside the
-        # bracket of its neighbours, on lattice points of log10 tau_d
-        lo, hi = z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)]
-        k_lo, k_hi = int(np.ceil(lo / _Z_STEP)), int(np.floor(hi / _Z_STEP))
-        # the pass's D and S are the screen's bit for bit, so its phase
-        # stands; the pass itself is the binning's, kept for the next fit
-        # whose best grid point is this one
-        final = pt = fit_at(tau, True, binning.derivative_pass(tau), (phases[best], chis[best]))
-        z, tried, slope_at = z_grid[best], {}, None
-
-        def lattice(k, derivs=False):
-            if k not in tried:
-                tried[k] = fit_at(np.clip(10.0 ** (k * _Z_STEP), *bounds["tau_d"]), derivs)
-            return tried[k]
-
-        for _ in range(_NEWTON_STEPS if k_lo <= k_hi else 0):
-            if slope_at is not pt:  # a rejected step moves only the bracket
-                slope_at, (slope, curv) = pt, newton(pt)
-            if slope > 0.0:
-                hi = min(hi, z)
-            elif slope < 0.0:
-                lo = max(lo, z)
-            target = z - slope / curv if curv > 0.0 else np.nan
-            if not lo < target < hi:  # also when nan: bisect the bracket
-                target = 0.5 * (lo + hi)
-            k = min(max(round(target / _Z_STEP), k_lo), k_hi)
-            if k in tried and tried[k] is not pt:  # a point already tried: bisect
-                k = min(max(round(0.5 * (lo + hi) / _Z_STEP), k_lo), k_hi)
-            if k in tried:  # converged on the current point, or nothing left to try
-                break
-            if lattice(k, True).chi < pt.chi:
-                z, pt = k * _Z_STEP, tried[k]
-            elif k * _Z_STEP > z:
-                hi = k * _Z_STEP
-            else:
-                lo = k * _Z_STEP
-        # the final point is chosen by comparing chi2 on the lattice only,
-        # so data rescaled by a constant give the same tau_d bit for bit
-        if tried:
-            k0 = k = min(tried, key=lambda j: (tried[j].chi, j))
-            for step in (-1, 1):
-                while abs(k + step - k0) <= _WINDOW and k_lo <= k + step <= k_hi:
-                    if not lattice(k + step).chi < tried[k].chi:
-                        break
-                    k += step
-            if tried[k].chi < chis[best]:
-                final = tried[k]
-                tau = final.tau
-
+        starts.append(FitStart(tau, inner.wrap(float(phases[best])), float(chis[best]), data.evaluations, True,
+                               f"best of {len(taus)} tau_d grid points"))
+        # polish inside the bracket of the best grid point's neighbours; its
+        # pass's D and S are the screen's bit for bit, so its phase stands,
+        # and the pass is kept for the next fit whose best point this is
+        start = _profile(data, binning.derivative_pass(tau)[None], [tau], inner, (phases[[best]], chis[[best]]))[0]
+        final = _polish(partial(_lattice_point, data, binning.model, inner),
+                        partial(_newton, y=data.y, inner=inner), start, z_grid[best],
+                        z_grid[max(best - 1, 0)], z_grid[min(best + 1, len(taus) - 1)])
         if final.cols.shape[1] < 6:  # the final pass made no derivative columns
-            final = fit_at(tau, True)
+            final = _point(data, binning.model, inner, final.tau, True)
 
-    r = residuals(final)
+    r = _residuals(final, data.y)
     best_chi2 = float(np.dot(r, r))
-    params = replace(base, n0=final.n0, tau_d=tau, phi0=_wrap(final.phase, phase_lo, periodic),
-                     background=final.background)
+    params = replace(base, n0=final.n0, tau_d=final.tau, phi0=inner.wrap(final.phase), background=final.background)
 
     # Gauss-Newton covariance from the exact Jacobian columns
-    jac = jacobian(final)
+    jac = _jacobian(final)
     jac = np.column_stack([jac[name] for name in free])
     try:
         # pseudo-inverse on unit-norm columns, so rank is judged free of units
@@ -736,18 +737,9 @@ def fit_beat(series, cfg: FitConfig) -> FitResult:
 
     # bound contact: every search here returns a bound exactly when it
     # ends there; an unbounded phase has none
-    msgs = []
-    for name in free:
-        if name == "phi0" and periodic:
-            continue
-        lo, hi = bounds[name]
-        v = getattr(params, name)
-        if v == lo:
-            msgs.append(f"{name} at lower bound {lo:g}")
-        elif v == hi:
-            msgs.append(f"{name} at upper bound {hi:g}")
+    msgs = [f"{name} at {side} bound {v:g}" for name in free if not (name == "phi0" and inner.periodic)
+            for side, v in zip(("lower", "upper"), bounds[name]) if getattr(params, name) == v]
     message = "; ".join(msgs) if msgs else "ok"
 
-    dof = len(data.y) - len(free)
-    return FitResult(params, best_chi2, dof, cov, bool(np.isfinite(best_chi2)), message, free,
-                     data.evaluations, tuple(starts))
+    return FitResult(params, best_chi2, len(data.y) - len(free), cov, bool(np.isfinite(best_chi2)), message,
+                     free, data.evaluations, tuple(starts))

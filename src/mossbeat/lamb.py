@@ -10,10 +10,11 @@ so a purely longitudinal Gaussian spread gives the closed form
 factor at 9 exactly.
 
 The Monte Carlo runs over 32 batches, each drawn from its own spawned
-stream, in chunks of ``_CHUNK_ROWS`` displacements.  Only one vector of
-a batch's mode sums, 16 bytes per sample over 32, grows with the sample
-count; the chunk's temporaries stay near 0.6 MB.  The estimates are the
-same bit for bit as from whole-batch arrays.
+stream, in chunks of ``_CHUNK_ROWS`` displacements whose phases fill one
+reused complex buffer and are exponentiated in place.  Only one vector
+of a batch's mode sums, 16 bytes per sample over 32, grows with the
+sample count; the chunk's arrays stay near 0.4 MB.  The estimates are
+the same bit for bit as from whole-batch arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import TriGammaGeometry
 _MODELS = ("longitudinal-gaussian", "isotropic-gaussian", "explicit-samples")
 _N_BATCHES = 32
 # displacements drawn and phased at a time within a batch: the chunk's
-# temporaries, about 150 bytes a row, stay near 0.6 MB at any n_samples
+# arrays, about 100 bytes a row, stay near 0.4 MB at any n_samples
 _CHUNK_ROWS = 4096
 
 
@@ -150,25 +151,29 @@ def _flm_mc(geom: TriGammaGeometry, ens: DisplacementEnsemble, per_sample, finis
     """Average ``per_sample(S)`` over the ensemble; ``finish`` maps a mean to the factor.
 
     Each batch mean is finished on its own for the batch-means error.  The
-    mode sums S of a batch are computed chunk by chunk into one complex
-    vector, reused from batch to batch, and ``per_sample`` and the batch's
-    mean and sum run over that whole vector, so the sums are numpy's
-    pairwise ones over n_b values and the result is the same bit for bit
-    as from whole-batch arrays.  Memory is that vector, 16 bytes per
-    sample over 32, plus one chunk's temporaries.
+    mode sums S of a batch, exp of the chunk buffer's phases summed over
+    the modes in order, go chunk by chunk into one complex vector, reused
+    from batch to batch; ``per_sample`` and the batch's mean and sum run
+    over that whole vector, so the sums are numpy's pairwise ones over n_b
+    values and the result is the same bit for bit as from whole-batch
+    arrays.  Memory is that vector plus the chunk buffer and draws.
     """
     k_t = geom.k_vectors.T
     total = 0.0
     n_total = 0
     batch_vals = []
-    buf = None
+    buf, phase = None, np.empty((_CHUNK_ROWS, 3), dtype=complex)
     for size, chunks in _batches(ens):
         if buf is None:
             buf = np.empty(size, dtype=complex)  # the first batch is the largest
         s = buf[:size]
         i = 0
         for u in chunks:
-            np.exp(1j * (u @ k_t)).sum(axis=1, out=s[i:i + len(u)])
+            z, out = phase[:len(u)], s[i:i + len(u)]
+            z.real, z.imag = 0.0, u @ k_t
+            np.exp(z, out=z)
+            np.add(z[:, 0], z[:, 1], out=out)
+            out += z[:, 2]
             i += len(u)
         v = per_sample(s)
         batch_vals.append(finish(v.mean()))

@@ -218,7 +218,10 @@ def simulate_counts(
         raise DomainError(f"width must be positive and finite, got {width!r}")
     if not (np.isfinite(horizon) and horizon >= width):
         raise DomainError(f"horizon must be finite and cover at least one bin, got {horizon!r}")
-    n_bins = int(np.floor(horizon / width + 1e-12))
+    n_bins = np.floor(horizon / width + 1e-12)
+    if not n_bins < np.iinfo(np.intp).max // 8:  # inf too: no array of float64 edges is that long
+        raise DomainError(f"horizon / width gives {n_bins:g} bins, more than an array can hold")
+    n_bins = int(n_bins)
     if abs(n_bins * width - horizon) > 1e-9 * width:
         warnings.warn("horizon is not a multiple of width; dropping the partial bin", stacklevel=2)
     edges = width * np.arange(n_bins + 1)

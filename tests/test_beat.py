@@ -711,9 +711,9 @@ def _transient_bytes(call, *args):
 def test_csv_round_trip_memory_is_bounded(tmp_path):
     # the writer formats blocks of rows and the reader's numpy pass scans the
     # file in chunks, so neither holds a copy of the 2.5 MB ratio file.  On 60
-    # 000 rows of 1.2 s (numpy 2.4) the write takes 1.5 MB, the read 3.1 MB
-    # (mostly RatioSeries copying and checking its columns) and its numpy pass
-    # 0.1 MB beyond the table; with whole-file text they took 5.8, 3.4 and 3.5
+    # 000 rows of 1.2 s (numpy 2.4) the write takes 1.5 MB, the read 1.0 MB
+    # and its numpy pass 0.3 MB beyond the table; with whole-file text they
+    # took 5.8, 3.4 and 3.5
     ratio = normalize(*simulate_counts(BeatParams(), 10.0, 1.2, 72000.0, seed=3))
     path = tmp_path / "ratio.csv"
     assert _transient_bytes(write_ratio_series, ratio, path) < 2.5e6

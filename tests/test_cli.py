@@ -504,6 +504,19 @@ def test_config_value_out_of_range_exits_1(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_binning_no_array_can_hold_exits_1(tmp_path, monkeypatch, capsys):
+    # 1e-300 s bins over the default horizon are more than numpy's largest
+    # array: one error line and exit 1, no traceback
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["simulate", "--set", "binning.width_s=1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: horizon / width gives ")
+    assert captured.err.endswith(" bins, more than an array can hold\n")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--set", 'binning={"width_s":24}'], "error: binning section needs 'horizon_s'\n"),
     (["beat", "--set", 'beat_grid={"n":5}'], "error: beat_grid section needs 't_start_s'\n"),

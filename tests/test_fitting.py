@@ -895,3 +895,97 @@ def test_phase_profile_matches_bounded_lstsq(lin, background):
     ref = fitting._bounded_lstsq(unit, cols[:, None, :, 3], data.y, lin, coef, lo, hi)[2]
     got = fitting._phase_profile(fitting._qr_pieces(cols, data.y), lin, coef, lo, hi)(phases)
     np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+def _synthetic_polish(chi, newton, k_start, half_width):
+    """Runs the polish on ``chi(k)`` from lattice point ``k_start`` inside
+    the bracket k_start +- half_width; returns its result and every k it
+    probed, in order."""
+    probed = []
+
+    def probe(k, derivs):
+        probed.append(k)
+        return SimpleNamespace(k=k, chi=chi(k))
+
+    z = k_start * fitting._Z_STEP
+    start = SimpleNamespace(k=k_start, chi=chi(k_start))
+    step = half_width * fitting._Z_STEP
+    return fitting._polish(probe, newton, start, z, z - step, z + step), probed
+
+
+def test_polish_reaches_the_lattice_minimum_inside_its_bracket():
+    # chi = u^2 + u^4 for u = (z - z_min) / w with z_min 0.3 lattice steps
+    # above k_min, so k_min is the lattice minimum; with exact derivatives
+    # the steps end on it, probe each k once and stay in the bracket
+    zs, w, k_min = fitting._Z_STEP, 1e-3, 3 * 2**28 + 12345
+    z_min = (k_min + 0.3) * zs
+
+    def u(z):
+        return (z - z_min) / w
+
+    def chi(k):
+        return u(k * zs) ** 2 + u(k * zs) ** 4
+
+    def newton(pt):
+        x = u(pt.k * zs)
+        return (2.0 * x + 4.0 * x**3) / w, (2.0 + 12.0 * x**2) / w**2
+
+    assert chi(k_min) < min(chi(k_min - 1), chi(k_min + 1))  # premise
+    start = k_min + round(0.8 * w / zs)
+    best, probed = _synthetic_polish(chi, newton, start, 2**20)
+    assert best.k == k_min
+    assert len(set(probed)) == len(probed)
+    assert all(abs(k - start) <= 2**20 for k in probed)
+    # the minimum beyond the bracket: the polish stays inside it, and with
+    # 8 steps to the edge it ends there
+    for half_width in (2**10, 8):
+        best, probed = _synthetic_polish(chi, newton, start, half_width)
+        assert probed and all(abs(k - start) <= half_width for k in probed)
+        assert len(set(probed)) == len(probed)
+        assert best.chi == min(chi(k) for k in [start, *probed])
+    assert best.k == start - 8
+
+
+def test_polish_breaks_a_tie_toward_the_lower_k():
+    # two lattice points of equal chi2: the steps reach k = 10 first and
+    # then try k = 6, which does not lower chi2; the polish returns k = 6
+    zs = fitting._Z_STEP
+
+    def chi(k):
+        return {20: 5.0, 6: 0.0, 10: 0.0}.get(k, 1.0)
+
+    def newton(pt):
+        return {20: 10.0 * zs, 10: 4.0 * zs}[pt.k], 1.0
+
+    best, probed = _synthetic_polish(chi, newton, 20, 20)
+    assert probed[:2] == [10, 6]
+    assert best.k == 6
+
+
+@pytest.mark.parametrize("free_params, bounds", [
+    (("n0", "tau_d", "phi0"), {}),
+    (("tau_d", "phi0", "background"), {"phi0": (0.1, 1.0)}),
+    (("n0", "tau_d", "background"), {}),
+], ids=["default", "background-narrow-phi0", "phi0-held"])
+@pytest.mark.parametrize("kind", ["counts", "ratio"])
+def test_profile_step_on_a_stack_equals_each_point_alone(free_params, bounds, kind):
+    # the profile step solves each point of a stack on its own: a point's
+    # chi2, phase, n0, background and columns are bit for bit those of a
+    # stack of that point alone, also with the phase given
+    gamma, ratio, cfg = _criterion11_seed1000()
+    cfg = FitConfig(free_params=free_params, bounds=bounds, base=replace(cfg.base, background=0.3))
+    series = gamma if kind == "counts" else ratio
+    data = fitting._WeightedSeries(series, cfg.base.tau0, cfg.base.t_pump)
+    model = _BinModel(data.edges, cfg.base.tau0, cfg.base.t_pump)
+    taus = [30.0, 485.7, 1e6]
+    unweighted = np.array([model.phase_columns(tau, True) for tau in taus])
+    inner = fitting._Inner(cfg)
+    stacked = fitting._profile(data, unweighted, taus, inner)
+    known = np.array([pt.phase for pt in stacked]), np.array([pt.chi for pt in stacked])
+    given = fitting._profile(data, unweighted, taus, inner, known)
+    for i, tau in enumerate(taus):
+        (alone,) = fitting._profile(data, unweighted[i:i + 1], [tau], inner)
+        for pt in (stacked[i], given[i]):
+            assert (pt.tau, pt.chi, pt.phase, pt.n0, pt.background) == \
+                (alone.tau, alone.chi, alone.phase, alone.n0, alone.background)
+            assert np.array_equal(pt.cols, alone.cols) and np.array_equal(pt.unit, alone.unit)

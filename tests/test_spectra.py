@@ -349,6 +349,14 @@ def test_simulate_counts_rejects_non_finite_width_or_horizon(width, horizon):
         simulate_counts(BeatParams(), 1.0, width, horizon)
 
 
+@pytest.mark.parametrize("width, horizon", [(1e-300, 14400.0), (5e-324, 14400.0), (1.0, 1e300)])
+def test_simulate_counts_rejects_a_binning_no_array_can_hold(width, horizon):
+    # such edges exceed numpy's largest array ("Maximum allowed size
+    # exceeded"), and 5e-324 s bins give an infinite count, no integer
+    with pytest.raises(DomainError, match=r"gives \S+ bins, more than an array can hold"):
+        simulate_counts(BeatParams(), 1.0, width, horizon)
+
+
 def test_simulate_counts_partial_bin_warns():
     p = BeatParams(n0=5.0)
     with pytest.warns(UserWarning):
